@@ -18,7 +18,6 @@ from .automorphisms import (
     triangular,
 )
 from .counting import (
-    McConfig,
     McEstimate,
     ValueCounts,
     estimate_positive_proportion,
@@ -58,7 +57,6 @@ __all__ = [
     "DimensionError",
     "FormatError",
     "GeneratorError",
-    "McConfig",
     "McEstimate",
     "PermutationError",
     "Poly",

@@ -4,27 +4,27 @@ Exact enumeration costs 2**nvars evaluations, so production verification
 estimates the positive proportion by uniform sampling.  The exact walker
 stays available as the ground-truth oracle at desk scale.
 
-Sampling is split into fixed-size chunks whose seeds derive from the caller's
-generator, so a run is reproducible for a given seed no matter how many
-worker threads evaluate the chunks.
+Sample points are drawn in fixed-size chunks, each from a child seed taken
+from the caller's generator, so a run is reproducible for a given seed.
+Callers concatenate the chunks and evaluate a polynomial over all of them
+in one pass.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import CapacityError
-from .poly import Poly
+from .poly import Poly, indices_of
 
 EXACT_NVARS_LIMIT = 25
 CHUNK_TRIALS = 512
-# Coefficient budget under which int64 accumulation cannot overflow.
+# Value bound under which int64 arithmetic stays exact.
 INT64_SAFE_BOUND = 1 << 62
 
 
@@ -47,30 +47,6 @@ class McEstimate:
     @property
     def proportion(self) -> float:
         return self.positive / self.trials
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Monte-Carlo accuracy budget: trials, gap bound, failure odds, constant."""
-
-    trials: int
-    epsilon: float
-    delta: float
-    c_const: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.c_const <= 0.0:
-            raise ValueError(f"c_const must be positive, got {self.c_const}")
-
-    @classmethod
-    def from_accuracy(cls, epsilon: float, delta: float, c_const: float = 0.02) -> McConfig:
-        return cls(required_trials(epsilon, delta, c_const), epsilon, delta, c_const)
 
 
 def required_trials(epsilon: float, delta: float, c_const: float = 0.02) -> int:
@@ -106,16 +82,37 @@ def exact_positive_count(p: Poly) -> int:
     return exact_value_counts(p).positive
 
 
+def _cube_bound(p: Poly) -> int:
+    return sum(abs(c) for c in p.terms.values())
+
+
+def fits_int64(p: Poly, inputs: Sequence[Poly] | None = None) -> bool:
+    """Whether int64 arithmetic gives exact values of p on the cube.
+
+    With ``inputs``, the values are those of p with inputs[i-1] in place of
+    x_i.  On the cube |q| <= sum |c| for any q, and a product is bounded by
+    the product of its factors' bounds.  int64 sums and products wrap
+    modulo 2**64, so only the final value has to stay in range.
+    """
+    if inputs is None:
+        bound = _cube_bound(p)
+    else:
+        bounds = [_cube_bound(q) for q in inputs]
+        bound = sum(
+            abs(c) * math.prod(bounds[i - 1] for i in indices_of(mask))
+            for mask, c in p.terms.items()
+        )
+    return bound < INT64_SAFE_BOUND
+
+
 def evaluate_batch(p: Poly, masks: np.ndarray) -> np.ndarray:
     """Values of p at an array of cube-point masks.
 
-    Uses an int64 fast path when the coefficient budget rules out overflow,
+    Uses an int64 fast path when ``fits_int64`` rules out overflow,
     otherwise falls back to exact Python integers.
     """
-    n = len(masks)
-    bound = sum(abs(c) for c in p.terms.values())
-    if bound < INT64_SAFE_BOUND:
-        acc = np.zeros(n, dtype=np.int64)
+    if fits_int64(p):
+        acc = np.zeros(len(masks), dtype=np.int64)
         for m, c in p.terms.items():
             mm = np.uint64(m)
             acc[(masks & mm) == mm] += c
@@ -141,26 +138,13 @@ def sample_tuple_chunks(nvars: int, n_trials: int, rng: random.Random) -> list[n
     return chunks
 
 
-def map_chunks(count_fn: Callable[[np.ndarray], int], chunks: list[np.ndarray], threads: int = 1) -> int:
-    """Sum a per-chunk count; chunk order never affects the total."""
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(count_fn, chunks))
-    return sum(map(count_fn, chunks))
-
-
 def estimate_positive_proportion(
     p: Poly,
     n_trials: int,
     rng: random.Random | None = None,
-    threads: int = 1,
 ) -> McEstimate:
     """Monte-Carlo estimate of the proportion of cube points where p > 0."""
     if rng is None:
         rng = random.SystemRandom()
-    chunks = sample_tuple_chunks(p.nvars, n_trials, rng)
-
-    def count(chunk: np.ndarray) -> int:
-        return int((evaluate_batch(p, chunk) > 0).sum())
-
-    return McEstimate(map_chunks(count, chunks, threads), n_trials)
+    points = np.concatenate(sample_tuple_chunks(p.nvars, n_trials, rng))
+    return McEstimate(int((evaluate_batch(p, points) > 0).sum()), n_trials)

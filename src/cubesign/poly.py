@@ -214,20 +214,6 @@ class Poly:
                 total += c
         return total
 
-    def evaluate_int(self, values: Sequence[int]) -> int:
-        """Value of the multilinear representative at arbitrary integer inputs."""
-        if len(values) != self.nvars:
-            raise DimensionError(f"expected {self.nvars} values, got {len(values)}")
-        total = 0
-        for m, c in self.terms.items():
-            v = c
-            while m:
-                low = m & -m
-                v *= values[low.bit_length() - 1]
-                m ^= low
-            total += v
-        return total
-
     def substitute(self, images: Sequence[Poly]) -> Poly:
         """Replace x_i by images[i-1]; all images must share one variable count."""
         if len(images) != self.nvars:
@@ -339,7 +325,7 @@ def _poly_from_lines(lines: Sequence[str]) -> Poly:
         terms[mask] = coeff
     try:
         return Poly(nvars, terms)
-    except (DimensionError, CapacityError) as exc:
+    except (ValueError, DimensionError, CapacityError) as exc:
         raise FormatError(str(exc)) from None
 
 

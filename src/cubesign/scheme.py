@@ -38,13 +38,7 @@ from .automorphisms import (
     sample_indicator,
     sample_sparse,
 )
-from .counting import (
-    EXACT_NVARS_LIMIT,
-    INT64_SAFE_BOUND,
-    evaluate_batch,
-    map_chunks,
-    sample_tuple_chunks,
-)
+from .counting import EXACT_NVARS_LIMIT, evaluate_batch, fits_int64, sample_tuple_chunks
 from .errors import CapacityError, DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
 from .poly import Poly, indices_of, poly_from_text, poly_to_text, split_blocks
@@ -158,38 +152,22 @@ def sample_challenge(rng: random.Random) -> Poly:
             return p
 
 
-def _challenge_positive(
-    challenge: Poly,
-    components: list[Poly],
-    chunks: list[np.ndarray],
-    threads: int,
-) -> int:
+def _challenge_positive(challenge: Poly, components: list[Poly], points: np.ndarray) -> int:
     """Count points where the challenge applied to component values is positive."""
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
-    bounds = [sum(abs(c) for c in p.terms.values()) for p in components]
-    total_bound = 0
+    vals = [evaluate_batch(p, points) for p in components]
+    dtype = np.int64
+    if not fits_int64(challenge, components):
+        vals = [v.astype(object) for v in vals]
+        dtype = object
+    acc = np.zeros(len(points), dtype=dtype)
     for mask, c in challenge.terms.items():
-        v = abs(c)
+        term = np.full(len(points), c, dtype=dtype)
         for i in indices_of(mask):
-            v *= bounds[i - 1]
-        total_bound += v
-    exact = total_bound >= INT64_SAFE_BOUND
-    dtype = object if exact else np.int64
-
-    def count(chunk: np.ndarray) -> int:
-        vals = [evaluate_batch(p, chunk) for p in components]
-        if exact:
-            vals = [v.astype(object) for v in vals]
-        acc = np.zeros(len(chunk), dtype=dtype)
-        for mask, c in challenge.terms.items():
-            term = np.full(len(chunk), c, dtype=dtype)
-            for i in indices_of(mask):
-                term = term * vals[i - 1]
-            acc = acc + term
-        return int((acc > 0).sum())
-
-    return map_chunks(count, chunks, threads)
+            term = term * vals[i - 1]
+        acc = acc + term
+    return int((acc > 0).sum())
 
 
 def verify_poly(
@@ -198,7 +176,7 @@ def verify_poly(
     sig: Signature,
     params: SchemeParams | None = None,
     rng: random.Random | None = None,
-    threads: int = 1,
+    *,
     exhaustive: bool = False,
 ) -> VerifyReport:
     """Compare positive proportions of the two challenge combinations.
@@ -232,19 +210,19 @@ def verify_poly(
                 f"exhaustive verification supports at most {EXACT_NVARS_LIMIT} variables"
             )
         total = 1 << m
-        chunks = [
-            np.arange(start, min(start + _EXHAUSTIVE_CHUNK, total), dtype=np.uint64)
-            for start in range(0, total, _EXHAUSTIVE_CHUNK)
-        ]
-        ref = _challenge_positive(challenge, reference_side, chunks, threads)
-        signed = _challenge_positive(challenge, signed_side, chunks, threads)
+        ref = signed = 0
+        # Fixed-size blocks keep memory bounded up to the enumeration limit.
+        for start in range(0, total, _EXHAUSTIVE_CHUNK):
+            block = np.arange(start, min(start + _EXHAUSTIVE_CHUNK, total), dtype=np.uint64)
+            ref += _challenge_positive(challenge, reference_side, block)
+            signed += _challenge_positive(challenge, signed_side, block)
     else:
         total = params.trials
         # Independent draws for the two sides.
-        ref_chunks = sample_tuple_chunks(m, total, rng)
-        signed_chunks = sample_tuple_chunks(m, total, rng)
-        ref = _challenge_positive(challenge, reference_side, ref_chunks, threads)
-        signed = _challenge_positive(challenge, signed_side, signed_chunks, threads)
+        ref_points = np.concatenate(sample_tuple_chunks(m, total, rng))
+        signed_points = np.concatenate(sample_tuple_chunks(m, total, rng))
+        ref = _challenge_positive(challenge, reference_side, ref_points)
+        signed = _challenge_positive(challenge, signed_side, signed_points)
     allowed = math.floor(params.threshold * total)
     return VerifyReport(
         accepted=abs(ref - signed) <= allowed,
@@ -262,7 +240,7 @@ def verify(
     sig: Signature,
     params: SchemeParams | None = None,
     rng: random.Random | None = None,
-    threads: int = 1,
+    *,
     exhaustive: bool = False,
 ) -> VerifyReport:
     if params is None:
@@ -273,7 +251,7 @@ def verify(
             f" use verify_poly for reduced profiles"
         )
     return verify_poly(
-        pub, hashing.message_poly(message), sig, params, rng, threads, exhaustive
+        pub, hashing.message_poly(message), sig, params, rng, exhaustive=exhaustive
     )
 
 

@@ -58,7 +58,7 @@ def test_tampered_message_rejects(workspace, capsys):
 def test_verify_flag_overrides(workspace, capsys):
     rc = main([
         "verify", "--pub", str(workspace / "k.pub"), "--sig", str(workspace / "msg.txt.sig"),
-        "--seed", "0", "--trials", "500", "--threshold", "0.5", "--threads", "2",
+        "--seed", "0", "--trials", "500", "--threshold", "0.5",
         str(workspace / "msg.txt"),
     ])
     out = capsys.readouterr().out

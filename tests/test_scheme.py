@@ -1,10 +1,11 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from cubesign.automorphisms import extend_for_signing, sample_automorphism, sample_indicator
-from cubesign.counting import exact_value_counts
+from cubesign.counting import exact_value_counts, fits_int64
 from cubesign.errors import DimensionError, FormatError
 from cubesign.params import SchemeParams
 from cubesign.poly import Poly, mask_of
@@ -12,6 +13,7 @@ from cubesign.scheme import (
     CHALLENGE_NVARS,
     PrivateKey,
     Signature,
+    _challenge_positive,
     keygen,
     private_key_from_text,
     private_key_to_text,
@@ -165,15 +167,51 @@ def test_verification_is_threshold_monotone():
     assert accepted == sorted(accepted)  # once accepted, stays accepted
 
 
-def test_verification_thread_count_is_immaterial():
-    rng = random.Random(21)
-    priv, pub = keygen(TP, rng)
-    q = synth_q(TP.n + 1, rng)
-    sig = sign_poly(priv, TP, q, rng)
-    one = verify_poly(pub, q, sig, params=TP, rng=random.Random(4), threads=1)
-    four = verify_poly(pub, q, sig, params=TP, rng=random.Random(4), threads=4)
-    assert (one.reference_positive, one.signed_positive) == (
-        four.reference_positive, four.signed_positive)
+def test_production_verify_counts_are_pinned():
+    # seeded (reference, signed) counts; a change here changes seeded decisions
+    for seed, expected in ((0, (459, 487)), (1, (988, 974)), (2, (1437, 1467))):
+        rng = random.Random(seed)
+        priv, pub = keygen(SchemeParams(), rng)
+        message = f"m{seed}".encode()
+        sig = sign(priv, pub.params, message, rng)
+        rep = verify(pub, message, sig, rng=random.Random(1))
+        assert (rep.reference_positive, rep.signed_positive) == expected
+        assert rep.accepted
+
+
+def test_exhaustive_wrong_key_counts_are_pinned():
+    # n=16 enumerates 2**17 points, so the sum runs over two blocks
+    params = SchemeParams(n=16, trials=1000)
+    rng = random.Random(0)
+    priv, pub = keygen(params, rng)
+    q = synth_q(params.n + 1, rng)
+    wrong = PrivateKey(sample_automorphism(params, random.Random(500)))
+    sig = sign_poly(wrong, params, q, rng)
+    rep = verify_poly(pub, q, sig, params=params, rng=random.Random(3), exhaustive=True)
+    assert (rep.reference_positive, rep.signed_positive) == (92694, 88042)
+    assert (rep.trials, rep.allowed_gap) == (1 << 17, 3932)
+    assert not rep.accepted
+
+
+def test_challenge_exact_path_matches_pointwise_recount():
+    # each component fits int64 on its own; their products under the challenge do not
+    rng = random.Random(17)
+    nv = 8
+    components = [
+        Poly(nv, {
+            rng.randrange(1 << nv): rng.choice((1, -1)) * rng.randrange(1 << 39, 1 << 41)
+            for _ in range(6)
+        })
+        for _ in range(CHALLENGE_NVARS)
+    ]
+    challenge = Poly(CHALLENGE_NVARS, {0b0001: 1, 0b0011: 1, 0b0111: 2, 0b1100: -2})
+    assert all(fits_int64(p) for p in components)
+    assert not fits_int64(challenge, components)
+    combined = combine(challenge, components)
+    expected = sum(combined.evaluate(point) > 0 for point in range(1 << nv))
+    assert 0 < expected < 1 << nv
+    points = np.arange(1 << nv, dtype=np.uint64)
+    assert _challenge_positive(challenge, components, points) == expected
 
 
 def test_unmapped_hash_polynomial_mostly_fails():
@@ -291,3 +329,19 @@ def test_private_key_text_rejects_dimension_mismatch():
     text = private_key_to_text(SchemeParams(n=11, trials=1000), priv)
     with pytest.raises(FormatError):
         private_key_from_text(text)
+
+
+def test_negative_nvars_is_a_format_error():
+    priv, pub = keygen(TP, random.Random(8))
+
+    def negate_last_block(text):
+        head, _, tail = text.rpartition("nvars=10")
+        return head + "nvars=-1" + tail
+
+    for parse, text in (
+        (signature_from_text, "nvars=-1"),
+        (public_key_from_text, negate_last_block(public_key_to_text(pub))),
+        (private_key_from_text, negate_last_block(private_key_to_text(TP, priv))),
+    ):
+        with pytest.raises(FormatError):
+            parse(text)
