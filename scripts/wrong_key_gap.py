@@ -4,7 +4,7 @@ For each seeded cycle the script generates a keypair, signs a message with
 the true key and with an independently sampled wrong key, and verifies both
 against the true public key.  It reports acceptance rates and quantiles of
 the observed proportion gap |p_R - p_S| for the two populations.  With
---exhaustive (small n only) the gap is computed over the full cube and the
+--exhaustive (n <= 24) the gap is computed over the full cube and the
 sampling noise disappears, which isolates the structural separation the
 threshold has to detect.
 
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
     parser.add_argument("--params", help="comma-separated overrides, e.g. n=12,trials=2000")
     parser.add_argument("--threshold", type=float, help="override the acceptance gap")
     parser.add_argument("--exhaustive", action="store_true",
-                        help="enumerate the cube instead of sampling (n <= ~20)")
+                        help="enumerate the cube instead of sampling (n <= 24)")
     args = parser.parse_args(argv)
 
     params = parse_param_overrides(args.params)

@@ -1,8 +1,11 @@
 """Counting positive values of a polynomial over the Boolean cube.
 
-Exact enumeration costs 2**nvars evaluations, so production verification
-estimates the positive proportion by uniform sampling.  The exact walker
-stays available as the ground-truth oracle at desk scale.
+Production verification estimates the positive proportion by uniform
+sampling.  The exact oracle and exhaustive verification enumerate the cube,
+up to ``EXACT_NVARS_LIMIT`` variables, in aligned subcube blocks of at most
+``CUBE_BLOCK`` points.  A block's values come from a subset-sum (zeta)
+transform of the polynomial's coefficients: k passes over 2**k entries, so
+a block costs O(k * 2**k) whatever the term count.
 
 Sample points are drawn in fixed-size chunks, each from a child seed taken
 from the caller's generator, so a run is reproducible for a given seed.
@@ -23,6 +26,8 @@ from .errors import CapacityError
 from .poly import Poly, indices_of
 
 EXACT_NVARS_LIMIT = 25
+# Points per enumeration block: 2**16 int64 values are 512 KiB.
+CUBE_BLOCK = 1 << 16
 CHUNK_TRIALS = 512
 # Value bound under which int64 arithmetic stays exact.
 INT64_SAFE_BOUND = 1 << 62
@@ -60,22 +65,25 @@ def required_trials(epsilon: float, delta: float, c_const: float = 0.02) -> int:
     return math.ceil(c_const * 4.0 * math.log2(2.0 / delta) / (epsilon * epsilon))
 
 
-def exact_value_counts(p: Poly) -> ValueCounts:
-    """Sign tallies of p over every cube point.  Exponential; nvars <= 25 only."""
-    if p.nvars > EXACT_NVARS_LIMIT:
+def cube_blocks(nvars: int) -> list[range]:
+    """The 2**nvars cube points as aligned subcube ranges of at most CUBE_BLOCK points."""
+    if nvars > EXACT_NVARS_LIMIT:
         raise CapacityError(
-            f"exact enumeration supports at most {EXACT_NVARS_LIMIT} variables, got {p.nvars}"
+            f"cube enumeration supports at most {EXACT_NVARS_LIMIT} variables, got {nvars}"
         )
-    pos = zero = neg = 0
-    for mask in range(1 << p.nvars):
-        v = p.evaluate(mask)
-        if v > 0:
-            pos += 1
-        elif v < 0:
-            neg += 1
-        else:
-            zero += 1
-    return ValueCounts(pos, zero, neg)
+    total = 1 << nvars
+    size = min(CUBE_BLOCK, total)
+    return [range(start, start + size) for start in range(0, total, size)]
+
+
+def exact_value_counts(p: Poly) -> ValueCounts:
+    """Sign tallies of p over every cube point; O(nvars * 2**nvars), nvars <= 25 only."""
+    pos = neg = 0
+    for block in cube_blocks(p.nvars):
+        values = evaluate_batch(p, block)
+        pos += int(np.count_nonzero(values > 0))
+        neg += int(np.count_nonzero(values < 0))
+    return ValueCounts(pos, (1 << p.nvars) - pos - neg, neg)
 
 
 def exact_positive_count(p: Poly) -> int:
@@ -105,12 +113,49 @@ def fits_int64(p: Poly, inputs: Sequence[Poly] | None = None) -> bool:
     return bound < INT64_SAFE_BOUND
 
 
-def evaluate_batch(p: Poly, masks: np.ndarray) -> np.ndarray:
-    """Values of p at an array of cube-point masks.
+def _subcube_width(points: range) -> int | None:
+    """k when points is range(s, s + 2**k) with s a multiple of 2**k, else None."""
+    size = len(points)
+    if points.step != 1 or not size or size & (size - 1) or points.start % size:
+        return None
+    return size.bit_length() - 1
 
-    Uses an int64 fast path when ``fits_int64`` rules out overflow,
-    otherwise falls back to exact Python integers.
+
+def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
+    """Values of p at start + j for j < 2**k, start a multiple of 2**k.
+
+    A term contributes at start + j exactly when its bits above k lie inside
+    start and its low k bits inside j.  The kept terms' coefficients are
+    placed at their low bits, then k in-place passes add each entry into the
+    entries whose index is a superset of its own (the zeta transform).
     """
+    low = (1 << k) - 1
+    top = np.uint64(start | low)
+    dtype = np.int64 if fits_int64(p) else object
+    masks = np.fromiter(p.terms, dtype=np.uint64, count=len(p.terms))
+    coeffs = np.array(list(p.terms.values()), dtype=dtype)
+    inside = (masks | top) == top
+    values = np.zeros(1 << k, dtype=dtype)
+    np.add.at(values, (masks[inside] & np.uint64(low)).astype(np.intp), coeffs[inside])
+    for i in range(k):
+        pairs = values.reshape(-1, 2, 1 << i)
+        pairs[:, 1, :] += pairs[:, 0, :]
+    return values
+
+
+def evaluate_batch(p: Poly, masks: np.ndarray | range) -> np.ndarray:
+    """Values of p at an array, or a range, of cube-point masks.
+
+    A range forming an aligned subcube goes through the zeta transform;
+    other ranges are expanded to an array.  Array input uses an int64 fast
+    path when ``fits_int64`` rules out overflow, otherwise exact Python
+    integers.
+    """
+    if isinstance(masks, range):
+        k = _subcube_width(masks)
+        if k is not None:
+            return _subcube_values(p, masks.start, k)
+        masks = np.arange(masks.start, masks.stop, masks.step, dtype=np.uint64)
     if fits_int64(p):
         acc = np.zeros(len(masks), dtype=np.int64)
         for m, c in p.terms.items():

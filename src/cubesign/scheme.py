@@ -38,14 +38,13 @@ from .automorphisms import (
     sample_indicator,
     sample_sparse,
 )
-from .counting import EXACT_NVARS_LIMIT, evaluate_batch, fits_int64, sample_tuple_chunks
-from .errors import CapacityError, DimensionError, FormatError
+from .counting import cube_blocks, evaluate_batch, fits_int64, sample_tuple_chunks
+from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
 from .poly import Poly, indices_of, poly_from_text, poly_to_text, split_blocks
 
 PUBLIC_POLY_COUNT = 3
 CHALLENGE_NVARS = 4
-_EXHAUSTIVE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,9 @@ def sample_challenge(rng: random.Random) -> Poly:
             return p
 
 
-def _challenge_positive(challenge: Poly, components: list[Poly], points: np.ndarray) -> int:
+def _challenge_positive(
+    challenge: Poly, components: list[Poly], points: np.ndarray | range
+) -> int:
     """Count points where the challenge applied to component values is positive."""
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
@@ -205,15 +206,9 @@ def verify_poly(
     reference_side = [p.widen(m) for p in pub.base] + [message_poly]
     signed_side = [p.widen(m) for p in pub.mapped] + [sig.poly]
     if exhaustive:
-        if m > EXACT_NVARS_LIMIT:
-            raise CapacityError(
-                f"exhaustive verification supports at most {EXACT_NVARS_LIMIT} variables"
-            )
         total = 1 << m
         ref = signed = 0
-        # Fixed-size blocks keep memory bounded up to the enumeration limit.
-        for start in range(0, total, _EXHAUSTIVE_CHUNK):
-            block = np.arange(start, min(start + _EXHAUSTIVE_CHUNK, total), dtype=np.uint64)
+        for block in cube_blocks(m):
             ref += _challenge_positive(challenge, reference_side, block)
             signed += _challenge_positive(challenge, signed_side, block)
     else:

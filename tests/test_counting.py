@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -41,10 +42,38 @@ def test_exact_counts_constant():
     assert counts == ValueCounts(positive=0, zero=0, negative=4)
 
 
+def pointwise_counts(p):
+    """Reference tally: evaluate p at every cube point one by one."""
+    values = [p.evaluate(x) for x in range(2 ** p.nvars)]
+    return ValueCounts(
+        sum(v > 0 for v in values), values.count(0), sum(v < 0 for v in values)
+    )
+
+
 @given(poly_strategy(6))
 def test_exact_counts_partition_the_cube(p):
     counts = exact_value_counts(p)
     assert counts.positive + counts.zero + counts.negative == 2 ** p.nvars
+    assert counts == pointwise_counts(p)
+
+
+def test_exact_counts_golden():
+    # 150 terms over 16 variables; counts recorded with the pointwise walker
+    rng = random.Random(16)
+    terms = {}
+    while len(terms) < 150:
+        mask = 0
+        for _ in range(rng.randint(0, 4)):
+            mask |= 1 << rng.randrange(16)
+        terms[mask] = rng.choice((-3, -2, -1, 1, 2, 3))
+    assert exact_value_counts(Poly(16, terms)) == ValueCounts(26660, 2693, 36183)
+
+
+def test_exact_counts_at_the_enumeration_limit():
+    n = EXACT_NVARS_LIMIT
+    # x1 - x2 is 1 on a quarter of the cube, -1 on a quarter and 0 on half
+    quarter = 2 ** (n - 2)
+    assert exact_value_counts(v(1, n) - v(2, n)) == ValueCounts(quarter, 2 * quarter, quarter)
 
 
 def test_exact_counts_capacity_guard():
@@ -132,6 +161,35 @@ def test_evaluate_batch_exact_fallback_for_huge_coefficients():
         values = evaluate_batch(p, chunk)
         for mask, value in zip(chunk.tolist(), values.tolist()):
             assert value == p.evaluate(int(mask))
+
+
+SUBCUBE_POLYS = [
+    3 * v(1, 8) * v(2, 8) - v(3, 8) * v(8, 8) + 1 - 2 * v(5, 8) * v(6, 8) * v(7, 8),
+    Poly.const(-7, 0),
+    # the cube bound passes 2**62, forcing exact Python integers
+    Poly(8, {0b11: INT64_SAFE_BOUND - 1, 0b10000100: -(INT64_SAFE_BOUND - 3), 0: 5}),
+]
+
+
+@pytest.mark.parametrize("p", SUBCUBE_POLYS)
+def test_evaluate_batch_on_aligned_subcubes_matches_pointwise(p):
+    total = 2 ** p.nvars
+    for k in range(p.nvars + 1):
+        for start in range(0, total, 2 ** k):
+            block = range(start, start + 2 ** k)
+            values = evaluate_batch(p, block)
+            assert values.dtype == (np.int64 if fits_int64(p) else object)
+            assert values.tolist() == [p.evaluate(x) for x in block]
+
+
+@pytest.mark.parametrize("p", SUBCUBE_POLYS)
+def test_evaluate_batch_on_other_ranges_matches_pointwise(p):
+    total = 2 ** p.nvars
+    # unaligned, not a power of two, strided, empty
+    for block in (range(1, 3), range(4, 12), range(total // 2 + 1, total),
+                  range(0, total, 3), range(0, 0)):
+        block = range(min(block.start, total), min(block.stop, total), block.step)
+        assert evaluate_batch(p, block).tolist() == [p.evaluate(x) for x in block]
 
 
 def test_fits_int64_bounds_values_on_the_cube_and_under_substitution():
