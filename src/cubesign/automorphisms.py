@@ -25,7 +25,7 @@ from .errors import (
     SamplingError,
 )
 from .params import SchemeParams
-from .poly import Poly, mask_of, poly_from_text, poly_to_text, split_blocks
+from .poly import Poly, mask_of, poly_from_block, poly_to_text, read_nvars, split_blocks
 
 # Retry budget for rejection sampling; generous, hit only by bad configs.
 _MAX_RESAMPLES = 1000
@@ -238,17 +238,15 @@ def automorphism_to_text(aut: Automorphism) -> str:
 
 
 def automorphism_from_text(text: str) -> Automorphism:
-    blocks = split_blocks(text)
-    if not blocks:
-        raise FormatError("empty automorphism text")
-    head = blocks[0].strip()
-    if "\n" in head or not head.startswith("nvars="):
+    return automorphism_from_blocks(split_blocks(text))
+
+
+def automorphism_from_blocks(blocks: list[list[str]]) -> Automorphism:
+    """Parse a lone ``nvars=`` header block followed by one block per image."""
+    if not blocks or len(blocks[0]) != 1:
         raise FormatError("automorphism text must start with a lone nvars= header")
-    try:
-        nvars = int(head[len("nvars="):])
-    except ValueError:
-        raise FormatError(f"bad variable count in {head!r}") from None
-    images = [poly_from_text(b) for b in blocks[1:]]
+    nvars = read_nvars(blocks[0][0])
+    images = [poly_from_block(b) for b in blocks[1:]]
     if len(images) != nvars:
         raise FormatError(f"expected {nvars} image blocks, found {len(images)}")
     try:

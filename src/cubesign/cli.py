@@ -11,14 +11,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import (
-    CapacityError,
-    DimensionError,
-    FormatError,
-    GeneratorError,
-    PermutationError,
-    SamplingError,
-)
+from .errors import SamplingError
 from .params import SchemeParams, parse_param_overrides
 from .scheme import (
     keygen,
@@ -50,16 +43,8 @@ BENCH_ROWS = (
     (3, 3, 1, 2),
 )
 
-_USER_ERRORS = (
-    OSError,
-    FormatError,
-    DimensionError,
-    CapacityError,
-    SamplingError,
-    GeneratorError,
-    PermutationError,
-    ValueError,
-)
+# The package's other error types (FormatError, DimensionError, ...) subclass ValueError.
+_USER_ERRORS = (OSError, ValueError, SamplingError)
 
 
 def _make_rng(seed: int | None) -> random.Random:

@@ -147,22 +147,20 @@ def evaluate_batch(p: Poly, masks: np.ndarray | range) -> np.ndarray:
     """Values of p at an array, or a range, of cube-point masks.
 
     A range forming an aligned subcube goes through the zeta transform;
-    other ranges are expanded to an array.  Array input uses an int64 fast
-    path when ``fits_int64`` rules out overflow, otherwise exact Python
-    integers.
+    other ranges are expanded to an array.  Array input adds each term's
+    coefficient where its mask is covered, in int64 when ``fits_int64``
+    rules out overflow, otherwise in exact Python integers.
     """
     if isinstance(masks, range):
         k = _subcube_width(masks)
         if k is not None:
             return _subcube_values(p, masks.start, k)
         masks = np.arange(masks.start, masks.stop, masks.step, dtype=np.uint64)
-    if fits_int64(p):
-        acc = np.zeros(len(masks), dtype=np.int64)
-        for m, c in p.terms.items():
-            mm = np.uint64(m)
-            acc[(masks & mm) == mm] += c
-        return acc
-    return np.array([p.evaluate(int(v)) for v in masks], dtype=object)
+    acc = np.zeros(len(masks), dtype=np.int64 if fits_int64(p) else object)
+    for m, c in p.terms.items():
+        mm = np.uint64(m)
+        acc[(masks & mm) == mm] += c
+    return acc
 
 
 def sample_tuple_chunks(nvars: int, n_trials: int, rng: random.Random) -> list[np.ndarray]:

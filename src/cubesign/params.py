@@ -51,21 +51,28 @@ class SchemeParams:
             raise ValueError(f"threshold must be strictly between 0 and 1, got {self.threshold}")
 
 
-_INT_FIELDS = ("n", "t", "b", "d", "r", "trials")
+_FIELD_TYPES = {
+    "n": int, "t": int, "b": int, "d": int, "r": int, "trials": int, "threshold": float,
+}
 
 
-def _typed(key: str, value: str):
-    if key in _INT_FIELDS:
+def _read_fields(items) -> dict[str, int | float]:
+    """Typed values of ``key=value`` items; a repeated key keeps its last value."""
+    fields = {}
+    for item in items:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise FormatError(f"expected key=value, got {item!r}")
+        key = key.strip()
+        kind = _FIELD_TYPES.get(key)
+        if kind is None:
+            raise FormatError(f"unknown parameter {key!r}")
         try:
-            return int(value)
+            fields[key] = kind(value.strip())
         except ValueError:
-            raise FormatError(f"parameter {key} needs an integer, got {value!r}") from None
-    if key == "threshold":
-        try:
-            return float(value)
-        except ValueError:
-            raise FormatError(f"parameter threshold needs a number, got {value!r}") from None
-    raise FormatError(f"unknown parameter {key!r}")
+            what = "an integer" if kind is int else "a number"
+            raise FormatError(f"parameter {key} needs {what}, got {value!r}") from None
+    return fields
 
 
 def parse_param_overrides(spec: str | None, base: SchemeParams | None = None) -> SchemeParams:
@@ -73,19 +80,8 @@ def parse_param_overrides(spec: str | None, base: SchemeParams | None = None) ->
     params = base if base is not None else SchemeParams()
     if not spec:
         return params
-    updates = {}
-    for item in spec.replace(";", ",").split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise FormatError(f"expected key=value, got {item!r}")
-        updates[key.strip()] = _typed(key.strip(), value.strip())
-    try:
-        return replace(params, **updates)
-    except TypeError as exc:
-        raise FormatError(str(exc)) from None
+    items = [item for item in spec.replace(";", ",").split(",") if item.strip()]
+    return replace(params, **_read_fields(items))
 
 
 def params_to_line(p: SchemeParams) -> str:
@@ -99,20 +95,10 @@ def params_from_line(line: str) -> SchemeParams:
     tokens = line.split()
     if not tokens or tokens[0] != "params":
         raise FormatError(f"expected a params line, got {line!r}")
-    fields = {}
-    for tok in tokens[1:]:
-        key, sep, value = tok.partition("=")
-        if not sep:
-            raise FormatError(f"malformed params token {tok!r}")
-        fields[key] = _typed(key, value)
-    expected = set(_INT_FIELDS) | {"threshold"}
-    if set(fields) != expected:
-        missing = expected - set(fields)
-        extra = set(fields) - expected
-        raise FormatError(
-            f"params line must carry exactly {sorted(expected)}; "
-            f"missing {sorted(missing)}, unexpected {sorted(extra)}"
-        )
+    fields = _read_fields(tokens[1:])
+    missing = set(_FIELD_TYPES) - set(fields)
+    if missing:
+        raise FormatError(f"params line is missing {sorted(missing)}")
     try:
         return SchemeParams(**fields)
     except ValueError as exc:

@@ -280,26 +280,51 @@ def poly_to_text(p: Poly) -> str:
     return "\n".join(lines)
 
 
-def poly_from_text(text: str) -> Poly:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines:
-        raise FormatError("empty polynomial block")
-    return _poly_from_lines(lines)
+def split_blocks(text: str) -> list[list[str]]:
+    """Blank-line-separated blocks of serialized text, each a list of stripped lines."""
+    blocks: list[list[str]] = []
+    current: list[str] = []
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if ln:
+            current.append(ln)
+        elif current:
+            blocks.append(current)
+            current = []
+    if current:
+        blocks.append(current)
+    return blocks
 
 
-def _poly_from_lines(lines: Sequence[str]) -> Poly:
-    head = lines[0]
-    if not head.startswith("nvars="):
-        raise FormatError(f"expected nvars= header, got {head!r}")
+def read_nvars(line: str) -> int:
+    """The variable count of an ``nvars=<k>`` header line."""
+    if not line.startswith("nvars="):
+        raise FormatError(f"expected nvars= header, got {line!r}")
     try:
-        nvars = int(head[len("nvars="):])
+        return int(line[len("nvars="):])
     except ValueError:
-        raise FormatError(f"bad variable count in {head!r}") from None
+        raise FormatError(f"bad variable count in {line!r}") from None
+
+
+def poly_from_text(text: str) -> Poly:
+    """Parse text holding exactly one canonical polynomial block."""
+    blocks = split_blocks(text)
+    if len(blocks) != 1:
+        raise FormatError(f"expected one polynomial block, found {len(blocks)}")
+    return poly_from_block(blocks[0])
+
+
+def poly_from_block(lines: Sequence[str]) -> Poly:
+    """Parse one block from ``split_blocks`` in the canonical form of ``poly_to_text``.
+
+    Each term line holds a nonzero coefficient and strictly ascending indices
+    in 1..NVARS_MAX, and the terms' masks strictly ascend.  Anything else
+    raises ``FormatError``.
+    """
+    nvars = read_nvars(lines[0])
     terms: dict[int, int] = {}
     prev = -1
     for ln in lines[1:]:
-        if not ln:
-            raise FormatError("blank line inside polynomial block")
         coeff_s, sep, idx_s = ln.partition(":")
         if not sep:
             raise FormatError(f"malformed term line {ln!r}")
@@ -309,36 +334,23 @@ def _poly_from_lines(lines: Sequence[str]) -> Poly:
             raise FormatError(f"bad coefficient in {ln!r}") from None
         if coeff == 0:
             raise FormatError(f"zero coefficient in canonical form: {ln!r}")
-        try:
-            idxs = [int(tok) for tok in idx_s.split(",")] if idx_s else []
-        except ValueError:
-            raise FormatError(f"bad variable list in {ln!r}") from None
-        if any(a >= b2 for a, b2 in zip(idxs, idxs[1:])):
-            raise FormatError(f"variable indices not strictly ascending in {ln!r}")
-        try:
-            mask = mask_of(idxs)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
+        mask = last = 0
+        for tok in idx_s.split(",") if idx_s else ():
+            try:
+                i = int(tok)
+            except ValueError:
+                raise FormatError(f"bad variable list in {ln!r}") from None
+            if not last < i <= NVARS_MAX:
+                raise FormatError(
+                    f"variable indices must strictly ascend within 1..{NVARS_MAX}: {ln!r}"
+                )
+            mask |= 1 << (i - 1)
+            last = i
         if mask <= prev:
             raise FormatError(f"terms out of canonical order at {ln!r}")
         prev = mask
         terms[mask] = coeff
     try:
         return Poly(nvars, terms)
-    except (ValueError, DimensionError, CapacityError) as exc:
+    except ValueError as exc:  # negative nvars, CapacityError, DimensionError
         raise FormatError(str(exc)) from None
-
-
-def split_blocks(text: str) -> list[str]:
-    """Split serialized text into blank-line-separated blocks."""
-    blocks = []
-    current: list[str] = []
-    for ln in text.splitlines():
-        if ln.strip():
-            current.append(ln)
-        elif current:
-            blocks.append("\n".join(current))
-            current = []
-    if current:
-        blocks.append("\n".join(current))
-    return blocks

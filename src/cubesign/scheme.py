@@ -31,7 +31,7 @@ import numpy as np
 from . import hashing
 from .automorphisms import (
     Automorphism,
-    automorphism_from_text,
+    automorphism_from_blocks,
     automorphism_to_text,
     extend_for_signing,
     sample_automorphism,
@@ -41,7 +41,7 @@ from .automorphisms import (
 from .counting import cube_blocks, evaluate_batch, fits_int64, sample_tuple_chunks
 from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
-from .poly import Poly, indices_of, poly_from_text, poly_to_text, split_blocks
+from .poly import Poly, indices_of, poly_from_block, poly_from_text, poly_to_text, split_blocks
 
 PUBLIC_POLY_COUNT = 3
 CHALLENGE_NVARS = 4
@@ -266,8 +266,8 @@ def public_key_from_text(text: str) -> PublicKey:
             f"public key needs a params line plus {2 * PUBLIC_POLY_COUNT} polynomial"
             f" blocks, found {len(blocks)}"
         )
-    params = params_from_line(blocks[0].strip())
-    polys = [poly_from_text(b) for b in blocks[1:]]
+    params = params_from_line(" ".join(blocks[0]))
+    polys = [poly_from_block(b) for b in blocks[1:]]
     base = tuple(polys[:PUBLIC_POLY_COUNT])
     mapped = tuple(polys[PUBLIC_POLY_COUNT:])
     for p in base:
@@ -293,8 +293,8 @@ def private_key_from_text(text: str) -> tuple[SchemeParams, PrivateKey]:
     blocks = split_blocks(text)
     if len(blocks) < 2:
         raise FormatError("private key needs a params line and an automorphism")
-    params = params_from_line(blocks[0].strip())
-    aut = automorphism_from_text("\n\n".join(blocks[1:]))
+    params = params_from_line(" ".join(blocks[0]))
+    aut = automorphism_from_blocks(blocks[1:])
     if aut.nvars != params.n:
         raise FormatError(
             f"automorphism has {aut.nvars} variables but params say n={params.n}"
@@ -307,7 +307,4 @@ def signature_to_text(sig: Signature) -> str:
 
 
 def signature_from_text(text: str) -> Signature:
-    blocks = split_blocks(text)
-    if len(blocks) != 1:
-        raise FormatError(f"signature must be a single polynomial block, found {len(blocks)}")
-    return Signature(poly_from_text(blocks[0]))
+    return Signature(poly_from_text(text))

@@ -155,12 +155,14 @@ def test_evaluate_batch_matches_pointwise():
 
 def test_evaluate_batch_exact_fallback_for_huge_coefficients():
     big = 1 << 70
-    p = big * v(1, 4) - (big - 1) * v(2, 4)
-    chunks = sample_tuple_chunks(4, 256, random.Random(3))
-    for chunk in chunks:
-        values = evaluate_batch(p, chunk)
-        for mask, value in zip(chunk.tolist(), values.tolist()):
-            assert value == p.evaluate(int(mask))
+    rng = random.Random(11)
+    terms = {rng.getrandbits(12): rng.randint(-3, 3) for _ in range(300)}
+    terms[0b101] = big
+    for p in (big * v(1, 4) - (big - 1) * v(2, 4), Poly(12, terms)):
+        assert not fits_int64(p)
+        points = np.concatenate(sample_tuple_chunks(p.nvars, 700, random.Random(3)))
+        values = evaluate_batch(p, points)
+        assert values.tolist() == [p.evaluate(int(m)) for m in points.tolist()]
 
 
 SUBCUBE_POLYS = [

@@ -181,11 +181,19 @@ def test_parse_rejects_malformed_blocks():
         "nvars=3\n1:4",               # index beyond nvars
         "nvars=up\n1:1",              # bad header value
         "nvars=3\nx:1",               # bad coefficient
+        "nvars=3\n1:0",               # index 0
+        "nvars=3\n1:-1",              # negative index
+        "nvars=64\n1:65",             # index beyond NVARS_MAX
+        "nvars=3\n1:1,1",             # repeated index
+        "nvars=3\n1:1,",              # trailing comma
+        "nvars=3\n1:1\n\n1:2",        # blank line inside a block
+        "nvars=3\n1:1\n\nnvars=3\n1:2",  # two blocks
+        "",                           # empty text
     ):
         with pytest.raises(FormatError):
             poly_from_text(text)
 
 
 def test_split_blocks():
-    blocks = split_blocks("a\nb\n\n\nc\n\nd\ne\n")
-    assert blocks == ["a\nb", "c", "d\ne"]
+    blocks = split_blocks("a\n b \n\n\nc\n \t\nd\ne\n")
+    assert blocks == [["a", "b"], ["c"], ["d", "e"]]

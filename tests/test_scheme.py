@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubesign.automorphisms import extend_for_signing, sample_automorphism, sample_indicator
 from cubesign.counting import exact_value_counts, fits_int64
@@ -345,3 +346,52 @@ def test_negative_nvars_is_a_format_error():
     ):
         with pytest.raises(FormatError):
             parse(text)
+
+
+FUZZ_PARAMS = SchemeParams(n=5, trials=100)
+# Characters of the key and signature formats plus a few outsiders.
+FUZZ_ALPHABET = "0123456789-+:,= \n\tnvarspmthx_"
+
+
+def _fuzz_cases():
+    """(parser, serializer of its result, valid text) for each file format."""
+    rng = random.Random(3)
+    priv, pub = keygen(FUZZ_PARAMS, rng)
+    sig = sign_poly(priv, FUZZ_PARAMS, synth_q(FUZZ_PARAMS.n + 1, rng, nterms=8), rng)
+    return (
+        (public_key_from_text, public_key_to_text, public_key_to_text(pub)),
+        (
+            private_key_from_text,
+            lambda out: private_key_to_text(*out),
+            private_key_to_text(FUZZ_PARAMS, priv),
+        ),
+        (signature_from_text, signature_to_text, signature_to_text(sig)),
+    )
+
+
+FUZZ_CASES = _fuzz_cases()
+EDIT = st.tuples(
+    st.sampled_from(("insert", "replace", "delete")),
+    st.integers(min_value=0),
+    st.sampled_from(FUZZ_ALPHABET),
+)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, len(FUZZ_CASES) - 1), st.lists(EDIT, max_size=4))
+def test_mutated_texts_parse_or_raise_format_error(case, edits):
+    parse, dump, text = FUZZ_CASES[case]
+    if not edits:
+        assert dump(parse(text)) == text
+    for op, where, ch in edits:
+        i = where % (len(text) + 1)
+        if op == "insert":
+            text = text[:i] + ch + text[i:]
+        elif op == "replace":
+            text = text[:i] + ch + text[i + 1:]
+        else:
+            text = text[:i] + text[i + 1:]
+    try:
+        parse(text)
+    except FormatError:
+        pass
