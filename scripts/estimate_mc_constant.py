@@ -15,7 +15,7 @@ import random
 import statistics
 
 from cubesign.automorphisms import sample_sparse
-from cubesign.counting import estimate_positive_proportion, exact_positive_count
+from cubesign.counting import estimate_positive_proportion, exact_value_counts
 from cubesign.params import SchemeParams
 
 
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     for i in range(args.polys):
         sp = SchemeParams(n=args.nvars, t=2 + i % 4, b=3, trials=max(budgets))
         p = sample_sparse(sp, sp.n, random.Random(args.seed + i))
-        targets.append((p, exact_positive_count(p) / (1 << sp.n)))
+        targets.append((p, exact_value_counts(p).positive / (1 << sp.n)))
 
     print(f"{'trials':>8} {'mean_err':>9} {'p50_err':>9} {'p95_err':>9} {'max_err':>9}"
           f" {'exceed':>7}")
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
             p, exact = targets[run % len(targets)]
             rng = random.Random(args.seed + 10_000 * budget + run)
             est = estimate_positive_proportion(p, budget, rng)
-            errors.append(abs(est.proportion - exact))
+            errors.append(abs(est - exact))
         errors.sort()
         exceed = sum(1 for e in errors if e > args.epsilon)
         print(f"{budget:>8} {statistics.mean(errors):>9.5f}"

@@ -18,10 +18,8 @@ from .automorphisms import (
     triangular,
 )
 from .counting import (
-    McEstimate,
     ValueCounts,
     estimate_positive_proportion,
-    exact_positive_count,
     exact_value_counts,
     required_trials,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "DimensionError",
     "FormatError",
     "GeneratorError",
-    "McEstimate",
     "PermutationError",
     "Poly",
     "PrivateKey",
@@ -74,7 +71,6 @@ __all__ = [
     "digest_to_poly",
     "elementary",
     "estimate_positive_proportion",
-    "exact_positive_count",
     "exact_value_counts",
     "extend_for_signing",
     "hash_message",

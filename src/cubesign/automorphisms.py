@@ -25,7 +25,7 @@ from .errors import (
     SamplingError,
 )
 from .params import SchemeParams
-from .poly import Poly, mask_of, poly_from_block, poly_to_text, read_nvars, split_blocks
+from .poly import Poly, mask_of, poly_from_block, poly_to_text, read_nvars
 
 # Retry budget for rejection sampling; generous, hit only by bad configs.
 _MAX_RESAMPLES = 1000
@@ -235,10 +235,6 @@ def automorphism_to_text(aut: Automorphism) -> str:
     parts = [f"nvars={aut.nvars}"]
     parts += [poly_to_text(img) for img in aut.images]
     return "\n\n".join(parts)
-
-
-def automorphism_from_text(text: str) -> Automorphism:
-    return automorphism_from_blocks(split_blocks(text))
 
 
 def automorphism_from_blocks(blocks: list[list[str]]) -> Automorphism:

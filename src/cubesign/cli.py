@@ -1,18 +1,15 @@
-"""Command-line interface: keygen, sign, verify, bench, analyze."""
+"""Command-line interface: keygen, sign, verify, analyze."""
 
 from __future__ import annotations
 
 import argparse
 import random
-import statistics
 import sys
-import time
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import SamplingError
-from .params import SchemeParams, parse_param_overrides
+from .params import parse_param_overrides
 from .scheme import (
     keygen,
     private_key_from_text,
@@ -31,16 +28,6 @@ from .sizes import (
     format_size_report,
     measure,
     size_records,
-)
-
-# Default parameter rows for the bench table: (t, b, d, r).
-BENCH_ROWS = (
-    (3, 3, 1, 1),
-    (3, 3, 2, 1),
-    (3, 4, 1, 1),
-    (4, 3, 1, 1),
-    (5, 3, 1, 1),
-    (3, 3, 1, 2),
 )
 
 # The package's other error types (FormatError, DimensionError, ...) subclass ValueError.
@@ -104,62 +91,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"threshold={params.threshold}")
     print(f"decision={'accept' if report.accepted else 'reject'}")
     return 0 if report.accepted else 1
-
-
-def _parse_rows(spec: str | None) -> tuple[tuple[int, int, int, int], ...]:
-    if not spec:
-        return BENCH_ROWS
-    rows = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        values = [int(tok) for tok in part.split(",")]
-        if len(values) != 4:
-            raise ValueError(f"each bench row needs t,b,d,r, got {part!r}")
-        rows.append(tuple(values))
-    if not rows:
-        raise ValueError("no bench rows given")
-    return tuple(rows)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    rows = _parse_rows(args.rows)
-    reps = args.reps
-    header = (
-        f"{'t':>3} {'b':>3} {'d':>3} {'r':>3} {'verify_s':>9}"
-        f" {'sig_kb':>8} {'pub_kb':>8} {'priv_kb':>8} {'mem_mb':>7}"
-    )
-    print(header)
-    for i, (t, b, d, r) in enumerate(rows):
-        params = SchemeParams(t=t, b=b, d=d, r=r)
-        if args.trials is not None:
-            params = replace(params, trials=args.trials)
-        seed = None if args.seed is None else args.seed + 1000 * i
-        rng = _make_rng(seed)
-        priv, pub = keygen(params, rng)
-        message = f"bench row {i}".encode()
-        sig = sign(priv, params, message, rng)
-        times = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            verify(pub, message, sig, params, rng)
-            times.append(time.perf_counter() - start)
-        # Peak memory is measured on a separate traced run; tracing slows
-        # execution, so it never contributes a timing sample.
-        tracemalloc.start()
-        verify(pub, message, sig, params, rng)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        sig_kb = measure([sig.poly]).kilobytes
-        pub_kb = measure([*pub.base, *pub.mapped]).kilobytes
-        priv_kb = measure(priv.aut.images).kilobytes
-        print(
-            f"{t:>3} {b:>3} {d:>3} {r:>3} {statistics.median(times):>9.3f}"
-            f" {sig_kb:>8.2f} {pub_kb:>8.2f} {priv_kb:>8.2f} {peak / 2**20:>7.1f}"
-        )
-    print(f"(verify_s: median of {reps} runs; mem_mb: approximate traced peak)")
-    return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -241,13 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true", help="enumerate instead of sampling")
     p.add_argument("message", nargs="?", help="message file; omit or '-' for stdin")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="timing and size table over parameter rows")
-    p.add_argument("--seed", type=int, help="deterministic RNG seed")
-    p.add_argument("--reps", type=int, default=5, help="verification runs per row")
-    p.add_argument("--rows", help="semicolon-separated t,b,d,r rows")
-    p.add_argument("--trials", type=int, help="override sample count")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("analyze", help="size reports and attack-dimension counts")
     p.add_argument("--pub", help="public key file")

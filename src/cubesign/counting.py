@@ -44,18 +44,12 @@ class ValueCounts:
         return self.positive + self.zero + self.negative
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    positive: int
-    trials: int
-
-    @property
-    def proportion(self) -> float:
-        return self.positive / self.trials
-
-
 def required_trials(epsilon: float, delta: float, c_const: float = 0.02) -> int:
-    """Trial count for gap epsilon with failure probability at most delta."""
+    """Trial count c_const * 4 * log2(2/delta) / epsilon**2 for gap epsilon.
+
+    c_const is an empirical constant, not a proven tail bound: the result
+    does not guarantee failure probability at most delta.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0.0 < delta < 1.0:
@@ -86,10 +80,6 @@ def exact_value_counts(p: Poly) -> ValueCounts:
     return ValueCounts(pos, (1 << p.nvars) - pos - neg, neg)
 
 
-def exact_positive_count(p: Poly) -> int:
-    return exact_value_counts(p).positive
-
-
 def _cube_bound(p: Poly) -> int:
     return sum(abs(c) for c in p.terms.values())
 
@@ -113,11 +103,11 @@ def fits_int64(p: Poly, inputs: Sequence[Poly] | None = None) -> bool:
     return bound < INT64_SAFE_BOUND
 
 
-def _subcube_width(points: range) -> int | None:
-    """k when points is range(s, s + 2**k) with s a multiple of 2**k, else None."""
+def _subcube_width(points: range) -> int:
+    """k when points is range(s, s + 2**k) with s a multiple of 2**k."""
     size = len(points)
     if points.step != 1 or not size or size & (size - 1) or points.start % size:
-        return None
+        raise ValueError(f"{points!r} is not an aligned subcube")
     return size.bit_length() - 1
 
 
@@ -144,18 +134,15 @@ def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
 
 
 def evaluate_batch(p: Poly, masks: np.ndarray | range) -> np.ndarray:
-    """Values of p at an array, or a range, of cube-point masks.
+    """Values of p at an array of cube-point masks, or on an aligned subcube.
 
-    A range forming an aligned subcube goes through the zeta transform;
-    other ranges are expanded to an array.  Array input adds each term's
-    coefficient where its mask is covered, in int64 when ``fits_int64``
-    rules out overflow, otherwise in exact Python integers.
+    A range must be an aligned subcube ``range(s, s + 2**k)``, as from
+    ``cube_blocks``; it goes through the zeta transform.  Array input adds
+    each term's coefficient where its mask is covered, in int64 when
+    ``fits_int64`` rules out overflow, otherwise in exact Python integers.
     """
     if isinstance(masks, range):
-        k = _subcube_width(masks)
-        if k is not None:
-            return _subcube_values(p, masks.start, k)
-        masks = np.arange(masks.start, masks.stop, masks.step, dtype=np.uint64)
+        return _subcube_values(p, masks.start, _subcube_width(masks))
     acc = np.zeros(len(masks), dtype=np.int64 if fits_int64(p) else object)
     for m, c in p.terms.items():
         mm = np.uint64(m)
@@ -185,9 +172,9 @@ def estimate_positive_proportion(
     p: Poly,
     n_trials: int,
     rng: random.Random | None = None,
-) -> McEstimate:
+) -> float:
     """Monte-Carlo estimate of the proportion of cube points where p > 0."""
     if rng is None:
         rng = random.SystemRandom()
     points = np.concatenate(sample_tuple_chunks(p.nvars, n_trials, rng))
-    return McEstimate(int((evaluate_batch(p, points) > 0).sum()), n_trials)
+    return int((evaluate_batch(p, points) > 0).sum()) / n_trials

@@ -92,6 +92,7 @@ def params_to_line(p: SchemeParams) -> str:
 
 
 def params_from_line(line: str) -> SchemeParams:
+    """Parse a params line; it must be exactly the line ``params_to_line`` writes."""
     tokens = line.split()
     if not tokens or tokens[0] != "params":
         raise FormatError(f"expected a params line, got {line!r}")
@@ -100,6 +101,9 @@ def params_from_line(line: str) -> SchemeParams:
     if missing:
         raise FormatError(f"params line is missing {sorted(missing)}")
     try:
-        return SchemeParams(**fields)
+        params = SchemeParams(**fields)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    if params_to_line(params) != line:
+        raise FormatError(f"params line is not in canonical form: {line!r}")
+    return params

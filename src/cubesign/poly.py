@@ -52,7 +52,7 @@ class Poly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+    def __init__(self, nvars: int, terms: Mapping[int, int]):
         if isinstance(nvars, bool) or not isinstance(nvars, int):
             raise TypeError("nvars must be an int")
         if nvars < 0:
@@ -61,8 +61,7 @@ class Poly:
             raise CapacityError(f"at most {NVARS_MAX} variables supported, got {nvars}")
         limit = 1 << nvars
         acc: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mask, coeff in items:
+        for mask, coeff in terms.items():
             if isinstance(mask, bool) or not isinstance(mask, int):
                 raise TypeError("monomial masks must be plain ints")
             if not 0 <= mask < limit:
@@ -82,7 +81,7 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> Poly:
-        return cls(nvars)
+        return cls(nvars, {})
 
     @classmethod
     def const(cls, value: int, nvars: int) -> Poly:
@@ -297,13 +296,17 @@ def split_blocks(text: str) -> list[list[str]]:
 
 
 def read_nvars(line: str) -> int:
-    """The variable count of an ``nvars=<k>`` header line."""
+    """The variable count of an ``nvars=<k>`` header, k in plain ASCII decimal."""
     if not line.startswith("nvars="):
         raise FormatError(f"expected nvars= header, got {line!r}")
+    digits = line[len("nvars="):]
     try:
-        return int(line[len("nvars="):])
+        nvars = int(digits)
     except ValueError:
-        raise FormatError(f"bad variable count in {line!r}") from None
+        nvars = -1
+    if nvars < 0 or str(nvars) != digits:
+        raise FormatError(f"bad variable count in {line!r}")
+    return nvars
 
 
 def poly_from_text(text: str) -> Poly:
@@ -314,12 +317,16 @@ def poly_from_text(text: str) -> Poly:
     return poly_from_block(blocks[0])
 
 
+# The written form of each variable index, mapped to its bit.
+_INDEX_BITS = {str(i): 1 << (i - 1) for i in range(1, NVARS_MAX + 1)}
+
+
 def poly_from_block(lines: Sequence[str]) -> Poly:
     """Parse one block from ``split_blocks`` in the canonical form of ``poly_to_text``.
 
-    Each term line holds a nonzero coefficient and strictly ascending indices
-    in 1..NVARS_MAX, and the terms' masks strictly ascend.  Anything else
-    raises ``FormatError``.
+    Each term line holds a nonzero coefficient written as ``-?[1-9][0-9]*``
+    and strictly ascending indices in 1..NVARS_MAX written as ``[1-9][0-9]*``,
+    and the terms' masks strictly ascend.  Anything else raises ``FormatError``.
     """
     nvars = read_nvars(lines[0])
     terms: dict[int, int] = {}
@@ -331,21 +338,19 @@ def poly_from_block(lines: Sequence[str]) -> Poly:
         try:
             coeff = int(coeff_s)
         except ValueError:
-            raise FormatError(f"bad coefficient in {ln!r}") from None
-        if coeff == 0:
-            raise FormatError(f"zero coefficient in canonical form: {ln!r}")
+            coeff = 0
+        if not coeff or str(coeff) != coeff_s:
+            raise FormatError(f"coefficient is not a nonzero plain decimal in {ln!r}")
         mask = last = 0
         for tok in idx_s.split(",") if idx_s else ():
-            try:
-                i = int(tok)
-            except ValueError:
-                raise FormatError(f"bad variable list in {ln!r}") from None
-            if not last < i <= NVARS_MAX:
+            bit = _INDEX_BITS.get(tok, 0)
+            if bit <= last:
                 raise FormatError(
-                    f"variable indices must strictly ascend within 1..{NVARS_MAX}: {ln!r}"
+                    f"variable indices must be plain decimals strictly ascending"
+                    f" within 1..{NVARS_MAX}: {ln!r}"
                 )
-            mask |= 1 << (i - 1)
-            last = i
+            mask |= bit
+            last = bit
         if mask <= prev:
             raise FormatError(f"terms out of canonical order at {ln!r}")
         prev = mask

@@ -207,17 +207,14 @@ def verify_poly(
     signed_side = [p.widen(m) for p in pub.mapped] + [sig.poly]
     if exhaustive:
         total = 1 << m
-        ref = signed = 0
-        for block in cube_blocks(m):
-            ref += _challenge_positive(challenge, reference_side, block)
-            signed += _challenge_positive(challenge, signed_side, block)
+        ref_points = signed_points = cube_blocks(m)
     else:
         total = params.trials
         # Independent draws for the two sides.
-        ref_points = np.concatenate(sample_tuple_chunks(m, total, rng))
-        signed_points = np.concatenate(sample_tuple_chunks(m, total, rng))
-        ref = _challenge_positive(challenge, reference_side, ref_points)
-        signed = _challenge_positive(challenge, signed_side, signed_points)
+        ref_points = [np.concatenate(sample_tuple_chunks(m, total, rng))]
+        signed_points = [np.concatenate(sample_tuple_chunks(m, total, rng))]
+    ref = sum(_challenge_positive(challenge, reference_side, pts) for pts in ref_points)
+    signed = sum(_challenge_positive(challenge, signed_side, pts) for pts in signed_points)
     allowed = math.floor(params.threshold * total)
     return VerifyReport(
         accepted=abs(ref - signed) <= allowed,
@@ -266,7 +263,8 @@ def public_key_from_text(text: str) -> PublicKey:
             f"public key needs a params line plus {2 * PUBLIC_POLY_COUNT} polynomial"
             f" blocks, found {len(blocks)}"
         )
-    params = params_from_line(" ".join(blocks[0]))
+    # A params block wrapped over several lines fails the canonical-line check.
+    params = params_from_line("\n".join(blocks[0]))
     polys = [poly_from_block(b) for b in blocks[1:]]
     base = tuple(polys[:PUBLIC_POLY_COUNT])
     mapped = tuple(polys[PUBLIC_POLY_COUNT:])
@@ -293,7 +291,7 @@ def private_key_from_text(text: str) -> tuple[SchemeParams, PrivateKey]:
     blocks = split_blocks(text)
     if len(blocks) < 2:
         raise FormatError("private key needs a params line and an automorphism")
-    params = params_from_line(" ".join(blocks[0]))
+    params = params_from_line("\n".join(blocks[0]))
     aut = automorphism_from_blocks(blocks[1:])
     if aut.nvars != params.n:
         raise FormatError(

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubesign.automorphisms import (
     Automorphism,
-    automorphism_from_text,
+    automorphism_from_blocks,
     automorphism_to_text,
     compose,
     elementary,
@@ -27,7 +27,7 @@ from cubesign.errors import (
     SamplingError,
 )
 from cubesign.params import SchemeParams
-from cubesign.poly import Poly, indices_of, mask_of
+from cubesign.poly import Poly, indices_of, mask_of, split_blocks
 
 from conftest import poly_strategy
 
@@ -327,7 +327,7 @@ def test_extension_rejects_bad_tweaks():
 
 def test_automorphism_text_round_trip():
     phi = sample_automorphism(SchemeParams(n=7), random.Random(21))
-    assert automorphism_from_text(automorphism_to_text(phi)) == phi
+    assert automorphism_from_blocks(split_blocks(automorphism_to_text(phi))) == phi
 
 
 def test_automorphism_text_rejects_malformed():
@@ -335,6 +335,6 @@ def test_automorphism_text_rejects_malformed():
     text = automorphism_to_text(phi)
     blocks = text.split("\n\n")
     with pytest.raises(FormatError):
-        automorphism_from_text("\n\n".join(blocks[:-1]))  # image missing
+        automorphism_from_blocks(split_blocks("\n\n".join(blocks[:-1])))  # image missing
     with pytest.raises(FormatError):
-        automorphism_from_text("nvars=oops\n\n" + "\n\n".join(blocks[1:]))
+        automorphism_from_blocks(split_blocks("nvars=oops\n\n" + "\n\n".join(blocks[1:])))

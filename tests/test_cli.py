@@ -106,25 +106,6 @@ def test_bad_param_override_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_bad_bench_row_is_a_usage_error(capsys):
-    rc = main(["bench", "--rows", "1,2", "--trials", "16", "--reps", "1", "--seed", "0"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
-
-
-def test_bench_prints_one_line_per_row(capsys):
-    rc = main(["bench", "--rows", "3,3,1,1;4,3,1,1", "--trials", "64", "--reps", "1",
-               "--seed", "0"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0].split() == [
-        "t", "b", "d", "r", "verify_s", "sig_kb", "pub_kb", "priv_kb", "mem_mb"]
-    assert lines[1].split()[:4] == ["3", "3", "1", "1"]
-    assert lines[2].split()[:4] == ["4", "3", "1", "1"]
-    assert lines[3].startswith("(verify_s:")
-
-
 def test_analyze_reports_sizes_and_dimension(workspace, capsys):
     rc = main([
         "analyze", "--pub", str(workspace / "k.pub"), "--key", str(workspace / "k.key"),

@@ -1,5 +1,6 @@
 import pytest
 
+from cubesign.errors import FormatError
 from cubesign.params import (
     SchemeParams,
     params_from_line,
@@ -74,3 +75,18 @@ def test_params_line_rejects_malformed():
         params_from_line("n=31 t=3")
     with pytest.raises(ValueError):
         params_from_line("params n=31")
+    line = params_to_line(SchemeParams(n=10, trials=800, threshold=0.05))
+    for spelling in (
+        line.replace("n=10", "n=010"),
+        line.replace("n=10", "n=+10"),
+        line.replace("trials=800", "trials=8_00"),
+        line.replace("trials=800", "trials=８00"),
+        line.replace("threshold=0.05", "threshold=0.050"),
+        line.replace("threshold=0.05", "threshold=5e-2"),
+        line.replace(" t=", "  t="),
+        line + " ",
+        line + " n=10",                                   # repeated field
+        line.replace("n=10 t=3", "t=3 n=10"),             # fields out of order
+    ):
+        with pytest.raises(FormatError):
+            params_from_line(spelling)

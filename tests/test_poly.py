@@ -189,6 +189,24 @@ def test_parse_rejects_malformed_blocks():
         "nvars=3\n1:1\n\n1:2",        # blank line inside a block
         "nvars=3\n1:1\n\nnvars=3\n1:2",  # two blocks
         "",                           # empty text
+        "nvars=3\n+1:1",              # coefficient with a plus sign
+        "nvars=3\n01:1",              # coefficient with a leading zero
+        "nvars=3\n-01:1",             # negative coefficient with a leading zero
+        "nvars=3\n-0:1",              # negative zero
+        "nvars=12\n1_0:1",            # underscore in a coefficient
+        "nvars=3\n１:1",               # full-width coefficient digit
+        "nvars=3\n1 :1",              # space after the coefficient
+        "nvars=3\n1:01",              # index with a leading zero
+        "nvars=3\n1:+1",              # index with a plus sign
+        "nvars=12\n1:1_0",            # underscore in an index
+        "nvars=3\n1:1, 2",            # space after a comma
+        "nvars=3\n1:１",               # full-width index digit
+        "nvars=03\n1:1",              # header with a leading zero
+        "nvars=+3\n1:1",              # header with a plus sign
+        "nvars= 3\n1:1",              # space in the header
+        "nvars=1_0\n1:1",             # underscore in the header
+        "nvars=３\n1:1",               # full-width header digit
+        "nvars=-0",                   # negative zero header
     ):
         with pytest.raises(FormatError):
             poly_from_text(text)

@@ -9,7 +9,7 @@ from cubesign.automorphisms import extend_for_signing, sample_automorphism, samp
 from cubesign.counting import exact_value_counts, fits_int64
 from cubesign.errors import DimensionError, FormatError
 from cubesign.params import SchemeParams
-from cubesign.poly import Poly, mask_of
+from cubesign.poly import Poly, mask_of, split_blocks
 from cubesign.scheme import (
     CHALLENGE_NVARS,
     PrivateKey,
@@ -332,6 +332,18 @@ def test_private_key_text_rejects_dimension_mismatch():
         private_key_from_text(text)
 
 
+def test_params_block_must_be_one_canonical_line():
+    priv, pub = keygen(TP, random.Random(8))
+    for parse, text in (
+        (public_key_from_text, public_key_to_text(pub)),
+        (private_key_from_text, private_key_to_text(TP, priv)),
+    ):
+        parse(text)
+        for bad in (text.replace(" b=", "\nb=", 1), text.replace("n=10", "n=010", 1)):
+            with pytest.raises(FormatError):
+                parse(bad)
+
+
 def test_negative_nvars_is_a_format_error():
     priv, pub = keygen(TP, random.Random(8))
 
@@ -350,7 +362,7 @@ def test_negative_nvars_is_a_format_error():
 
 FUZZ_PARAMS = SchemeParams(n=5, trials=100)
 # Characters of the key and signature formats plus a few outsiders.
-FUZZ_ALPHABET = "0123456789-+:,= \n\tnvarspmthx_"
+FUZZ_ALPHABET = "0123456789-+:,= \n\tnvarspmthx_１"
 
 
 def _fuzz_cases():
@@ -392,6 +404,9 @@ def test_mutated_texts_parse_or_raise_format_error(case, edits):
         else:
             text = text[:i] + text[i + 1:]
     try:
-        parse(text)
+        out = parse(text)
     except FormatError:
         pass
+    else:
+        # only the written form is accepted, up to blank lines and padding
+        assert split_blocks(dump(out)) == split_blocks(text)
