@@ -10,7 +10,11 @@ a block costs O(k * 2**k) whatever the term count.
 Sample points are drawn in fixed-size chunks, each from a child seed taken
 from the caller's generator, so a run is reproducible for a given seed.
 Callers concatenate the chunks and evaluate a polynomial over all of them
-in one pass.
+in one pass.  That pass is bit-sliced: the points are transposed into one
+Python int per variable, a term's covered points are the AND of its
+variables' ints, and coefficients are summed in bit-plane counters, so the
+values are exact at any magnitude.  They come back as int64 when they fit
+in 63 two's-complement bits and as an ``object`` array otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -133,21 +138,92 @@ def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
     return values
 
 
+def _columns(masks: np.ndarray, width: int) -> list[int]:
+    """Bit-sliced points: column i is an int whose bit j is bit i of masks[j]."""
+    octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :width]
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _add_at(planes: list[int], covered: int, k: int) -> None:
+    """Ripple-carry add covered * 2**k into an unsigned bit-plane counter."""
+    while covered:
+        if k >= len(planes):
+            planes += [0] * (k - len(planes)) + [covered]
+            return
+        planes[k], covered = planes[k] ^ covered, planes[k] & covered
+        k += 1
+
+
+def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
+    """Per-point values of two's-complement planes; the last plane is the sign."""
+    width = len(planes)
+    nbytes = (npoints + 7) // 8
+    raw = b"".join(plane.to_bytes(nbytes, "little") for plane in planes)
+    octets = np.frombuffer(raw, dtype=np.uint8).reshape(width, nbytes)
+    bits = np.unpackbits(octets, axis=1, count=npoints, bitorder="little")
+    dtype = np.int64 if width <= 63 else object
+    weights = np.array([1 << k for k in range(width - 1)] + [-(1 << (width - 1))], dtype=dtype)
+    return weights @ bits.astype(dtype)
+
+
 def evaluate_batch(p: Poly, masks: np.ndarray | range) -> np.ndarray:
     """Values of p at an array of cube-point masks, or on an aligned subcube.
 
     A range must be an aligned subcube ``range(s, s + 2**k)``, as from
-    ``cube_blocks``; it goes through the zeta transform.  Array input adds
-    each term's coefficient where its mask is covered, in int64 when
-    ``fits_int64`` rules out overflow, otherwise in exact Python integers.
+    ``cube_blocks``; it goes through the zeta transform.
+
+    Array input is bit-sliced (Biham, FSE 1997): the points become one
+    Python int per variable, whose bit j is that variable at point j.  A
+    term covers the AND of its variables' columns.  Terms are walked in
+    ascending mask order with the ANDs of their high bits on a stack, so a
+    shared prefix is computed once and at most nvars + 1 ANDs are live.
+    Each covered set is added, once per set bit of |c|, into ripple-carry
+    bit-plane counters for the positive and the negative coefficients.  One
+    bit-sliced subtraction gives two's-complement planes, exact at any
+    magnitude.  The result is int64 when the values need at most 63 planes,
+    sign included, and an ``object`` array of Python ints otherwise.
     """
     if isinstance(masks, range):
         return _subcube_values(p, masks.start, _subcube_width(masks))
-    acc = np.zeros(len(masks), dtype=np.int64 if fits_int64(p) else object)
-    for m, c in p.terms.items():
-        mm = np.uint64(m)
-        acc[(masks & mm) == mm] += c
-    return acc
+    npoints = len(masks)
+    full = (1 << npoints) - 1
+    order = sorted(p.terms)
+    columns = _columns(masks, order[-1].bit_length()) if order else []
+    positive: list[int] = []
+    negative: list[int] = []
+    # stack[d] is the AND of the columns of the d highest set bits of prev.
+    stack = [full]
+    prev = 0
+    for mask in order:
+        below = (1 << (prev ^ mask).bit_length()) - 1
+        del stack[1 + (mask & ~below).bit_count():]
+        covered = stack[-1]
+        rest = mask & below
+        while rest:
+            top = rest.bit_length() - 1
+            rest ^= 1 << top
+            covered &= columns[top]
+            stack.append(covered)
+        prev = mask
+        c = p.terms[mask]
+        planes = positive if c > 0 else negative
+        c = abs(c)
+        while c:
+            k = (c & -c).bit_length() - 1
+            _add_at(planes, covered, k)
+            c &= c - 1
+    # positive - negative; the final borrow is the sign plane.
+    planes = []
+    borrow = 0
+    for a, b in zip_longest(positive, negative, fillvalue=0):
+        planes.append(a ^ b ^ borrow)
+        borrow = (~a & (b | borrow)) | (b & borrow)
+    planes.append(borrow)
+    while len(planes) > 1 and planes[-1] == planes[-2]:
+        planes.pop()
+    return _signed_values(planes, npoints)
 
 
 def sample_tuple_chunks(nvars: int, n_trials: int, rng: random.Random) -> list[np.ndarray]:

@@ -1,9 +1,10 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from cubesign.counting import (
     EXACT_NVARS_LIMIT,
@@ -160,6 +161,71 @@ def test_evaluate_batch_exact_fallback_for_huge_coefficients():
         points = np.concatenate(sample_tuple_chunks(p.nvars, 700, random.Random(3)))
         values = evaluate_batch(p, points)
         assert values.tolist() == [p.evaluate(int(m)) for m in points.tolist()]
+
+
+def _sparse_mask(nvars):
+    """Masks of up to six variables, so terms share prefixes as in signatures."""
+    if not nvars:
+        return st.just(0)
+    bit = st.integers(min_value=0, max_value=nvars - 1)
+    return st.lists(bit, max_size=6).map(lambda bits: sum({1 << b for b in bits}))
+
+
+_COEFF = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([2**62 - 1, 2**62, 2**62 + 1, -(2**62) - 1, -(2**62), -(2**62) + 1]),
+    st.integers(min_value=-(2**200), max_value=2**200),
+)
+
+
+@st.composite
+def _batch_cases(draw):
+    nvars = draw(st.sampled_from([0, 1, 5, 32, 64]))
+    # a list, not a dict, so terms reach Poly in arbitrary mask order
+    items = draw(st.lists(st.tuples(_sparse_mask(nvars), _COEFF), max_size=24))
+    npoints = draw(st.sampled_from([1, 7, 8, 513, 3000]))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return Poly(nvars, dict(items)), npoints, seed
+
+
+@settings(max_examples=60)
+@given(_batch_cases())
+@example((Poly.zero(0), 1, 0))
+@example((Poly.zero(64), 3000, 1))
+@example((Poly.const(-5, 0), 7, 2))
+@example((Poly.const(2**62 - 1, 3), 8, 3))
+@example((Poly.const(2**62, 3), 8, 3))
+@example((Poly.const(-(2**62), 3), 8, 3))
+@example((Poly.const(-(2**62) - 1, 3), 8, 3))
+@example((Poly(6, {0b100000: -1, 0b10010: 2, 0b11: 3, 0: -1}), 513, 5))
+@example((Poly(64, {1 << 63: 2**200, 3: -(2**62), 1: 2**62 - 1, 0: -1}), 513, 4))
+def test_evaluate_batch_matches_pointwise_property(case):
+    p, npoints, seed = case
+    rng = random.Random(seed)
+    points = np.array([rng.getrandbits(p.nvars) for _ in range(npoints)], dtype=np.uint64)
+    values = evaluate_batch(p, points)
+    assert values.tolist() == [p.evaluate(int(m)) for m in points.tolist()]
+    # int64 exactly when every value fits in 63 two's-complement planes
+    in_63_planes = all(-(2**62) <= x < 2**62 for x in values.tolist())
+    assert values.dtype == (np.int64 if in_63_planes else object)
+
+
+def test_evaluate_batch_peak_memory_stays_small():
+    # a stack of prefix ANDs; a dict cache of every prefix peaks near 17 MB here
+    rng = random.Random(21)
+    terms = {}
+    while len(terms) < 16000:
+        mask = sum({1 << rng.randrange(32) for _ in range(rng.randint(1, 8))})
+        terms[mask] = rng.choice((-3, -2, -1, 1, 2, 3))
+    p = Poly(32, terms)
+    points = np.concatenate(sample_tuple_chunks(32, 3000, random.Random(22)))
+    tracemalloc.start()
+    try:
+        evaluate_batch(p, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 SUBCUBE_POLYS = [
