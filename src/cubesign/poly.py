@@ -69,11 +69,7 @@ class Poly:
             if isinstance(coeff, bool) or not isinstance(coeff, int):
                 raise TypeError("coefficients must be plain ints")
             if coeff:
-                v = acc.get(mask, 0) + coeff
-                if v:
-                    acc[mask] = v
-                elif mask in acc:
-                    del acc[mask]
+                acc[mask] = coeff
         self.terms = acc
         self.nvars = nvars
 
@@ -142,15 +138,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         rhs = self._coerce(other)
-        a, b = self.terms, rhs.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, int] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = m1 | m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, _mul_terms(self.terms, rhs.terms))
 
     __rmul__ = __mul__
 
@@ -223,21 +211,22 @@ class Poly:
         for img in images:
             if img.nvars != nv:
                 raise DimensionError("images disagree on variable count")
-        # Memoize products of image subsets: monomials often share factors.
-        cache: dict[int, Poly] = {0: Poly.const(1, nv)}
+        # Memoize the term maps of products of image subsets: monomials often
+        # share factors.  Only the result is built as a Poly.
+        cache: dict[int, dict[int, int]] = {0: {0: 1}}
 
-        def product(mask: int) -> Poly:
+        def product(mask: int) -> dict[int, int]:
             got = cache.get(mask)
             if got is not None:
                 return got
             low = mask & -mask
-            p = product(mask ^ low) * images[low.bit_length() - 1]
-            cache[mask] = p
-            return p
+            t = _mul_terms(product(mask ^ low), images[low.bit_length() - 1].terms)
+            cache[mask] = t
+            return t
 
         acc: dict[int, int] = {}
         for mask, coeff in self.terms.items():
-            for m2, c2 in product(mask).terms.items():
+            for m2, c2 in product(mask).items():
                 acc[m2] = acc.get(m2, 0) + coeff * c2
         return Poly(nv, acc)
 
@@ -246,6 +235,20 @@ class Poly:
         if nvars < self.nvars:
             raise DimensionError(f"cannot widen from {self.nvars} to {nvars} variables")
         return Poly(nvars, self.terms)
+
+
+def _mul_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Term map of the product of two term maps, with no zero coefficients."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[int, int] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 | m2
+            out[m] = out.get(m, 0) + c1 * c2
+    for m in [m for m, c in out.items() if not c]:
+        del out[m]
+    return out
 
 
 def _point_to_mask(point: int | Sequence[int], nvars: int) -> int:
@@ -270,12 +273,34 @@ def _point_to_mask(point: int | Sequence[int], nvars: int) -> int:
 # --- canonical text form ---
 
 
+# _BYTE_INDICES[k][b]: the written indices of byte value b at byte offset k
+# of a mask, e.g. _BYTE_INDICES[1][0b1011] == "9,10,12".
+_BYTE_INDICES = tuple(
+    tuple(",".join(str(8 * k + i + 1) for i in range(8) if b >> i & 1) for b in range(256))
+    for k in range(NVARS_MAX // 8)
+)
+
+
 def poly_to_text(p: Poly) -> str:
-    """Canonical block: ``nvars=<k>`` then one ``<coeff>:<indices>`` line per term."""
+    """Canonical block: ``nvars=<k>`` then one ``<coeff>:<indices>`` line per term.
+
+    Terms are written in ascending mask order.  A term's indices are the
+    comma join of the ``_BYTE_INDICES`` entries of its mask's nonzero bytes,
+    low byte first, so each mask costs at most eight table lookups.
+    """
+    terms = p.terms
     lines = [f"nvars={p.nvars}"]
-    for mask in sorted(p.terms):
-        idxs = ",".join(str(i) for i in indices_of(mask))
-        lines.append(f"{p.terms[mask]}:{idxs}")
+    for mask in sorted(terms):
+        parts = []
+        rest = mask
+        for row in _BYTE_INDICES:
+            if not rest:
+                break
+            b = rest & 255
+            if b:
+                parts.append(row[b])
+            rest >>= 8
+        lines.append(f"{terms[mask]}:{','.join(parts)}")
     return "\n".join(lines)
 
 

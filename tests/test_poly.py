@@ -1,8 +1,13 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from cubesign.automorphisms import sample_indicator
 from cubesign.errors import DimensionError, FormatError
+from cubesign.params import SchemeParams
 from cubesign.poly import (
+    NVARS_MAX,
     Poly,
     indices_of,
     mask_of,
@@ -123,6 +128,23 @@ def test_substitute_product_reduces():
     assert got == v(1, 2) - v(1, 2) * v(2, 2)
 
 
+@given(st.integers(1, 8), st.integers(2, 8), st.integers(0, 2**32 - 1), st.data())
+def test_substitute_matches_pointwise_composition(n, k, seed, data):
+    # x1 and 1 - x1 among the images make some image products cancel to zero
+    rng = random.Random(seed)
+    x1 = Poly.variable(1, n)
+    images = [x1, 1 - x1]
+    images += [sample_indicator((), SchemeParams(n=8, r=2), n, rng) for _ in range(k - 2)]
+    rng.shuffle(images)
+    p = data.draw(poly_strategy(k, max_terms=8))
+    got = p.substitute(images)
+    assert all(got.terms.values())
+    for x in range(1 << n):
+        values = [img.evaluate(x) for img in images]
+        assert set(values) <= {0, 1}
+        assert got.evaluate(x) == p.evaluate(sum(b << i for i, b in enumerate(values)))
+
+
 def test_substitute_length_mismatch():
     with pytest.raises(DimensionError):
         v(1, 2).substitute([v(1, 2)])
@@ -160,9 +182,34 @@ def test_mul_associates_and_distributes(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
-@given(poly_strategy(6))
+@st.composite
+def wide_polys(draw):
+    """Polynomials in 0..NVARS_MAX variables whose masks reach every byte, bit 63 included."""
+    nvars = draw(st.integers(0, NVARS_MAX))
+    top = 1 << nvars - 1 if nvars else 0
+    mask = st.builds(int.__or__, st.integers(0, (1 << nvars) - 1), st.sampled_from((0, top)))
+    coeff = st.integers(-4, 4) | st.sampled_from((1, -1, 2**200, -(2**200)))
+    return Poly(nvars, draw(st.dictionaries(mask, coeff, max_size=8)))
+
+
+@given(wide_polys())
+@example(Poly.zero(0))
+@example(Poly.zero(NVARS_MAX))
+@example(Poly.const(-(2**200), 0))
+@example(Poly(NVARS_MAX, {0: 2**200, 1 << 63: -1, (1 << 64) - 1: -(2**200), 0x8000_0000_0100_0001: 2}))
 def test_text_round_trip(p):
-    assert poly_from_text(poly_to_text(p)) == p
+    text = poly_to_text(p)
+    assert poly_from_text(text) == p
+    lines = text.split("\n")
+    assert lines[0] == f"nvars={p.nvars}"
+    assert lines[1:] == [
+        f"{p.terms[m]}:{','.join(map(str, indices_of(m)))}" for m in sorted(p.terms)
+    ]
+
+
+def test_text_writes_every_single_index():
+    for i in range(1, NVARS_MAX + 1):
+        assert poly_to_text(Poly(NVARS_MAX, {1 << (i - 1): -2})) == f"nvars={NVARS_MAX}\n-2:{i}"
 
 
 def test_text_format_shape():

@@ -34,6 +34,8 @@ TP = SchemeParams(n=10, trials=1000)
 # frozen digests of the seed-42 production keypair serialization
 KEYGEN_PUB_SHA = "9fff1bdf7b58f11e5342568948d27e3d0e62f76f6444b439fc523aa319a481c5"
 KEYGEN_PRIV_SHA = "59e90109ad07c4036837e0616ba15af5a71ce225809a972535097127ca1645ff"
+# frozen digest of a seed-7 signature of b"golden" under that private key
+SIGN_SHA = "8abf4b7329e1111cadc289a5f50e0cdd384836e76666534f5bde25dfe3782e38"
 
 
 def synth_q(nvars, rng, nterms=20):
@@ -78,6 +80,12 @@ def test_keygen_production_golden():
     priv_sha = hashlib.sha256(private_key_to_text(SchemeParams(), priv).encode()).hexdigest()
     assert pub_sha == KEYGEN_PUB_SHA
     assert priv_sha == KEYGEN_PRIV_SHA
+
+
+def test_signature_production_golden():
+    priv, _ = keygen(SchemeParams(), random.Random(42))
+    sig = sign(priv, SchemeParams(), b"golden", random.Random(7))
+    assert hashlib.sha256(signature_to_text(sig).encode()).hexdigest() == SIGN_SHA
 
 
 def test_key_images_preserve_value_counts():

@@ -1,6 +1,7 @@
 """The experiment scripts under scripts/ run at tiny sizes and print their tables."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,34 @@ def test_script_runs_and_prints_its_header(name, argv, header, capsys):
     assert load(name).main(argv) == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first.split()[:len(header)] == header
+
+
+def test_bench_record_medians_and_merge(tmp_path):
+    bench = load("bench_record")
+    results = [{"metrics": {"a_s": {"value": v, "unit": "s/op"}, "n": {"value": 7.0, "unit": "calls/op"}}}
+               for v in (0.3, 0.1, 0.2)]
+    results.append({"metrics": {"a_s": {"value": 0.4, "unit": "s/op"}}})
+    assert bench.medians(results) == {"a_s": {"value": 0.25, "unit": "s/op"},
+                                      "n": {"value": 7.0, "unit": "calls/op"}}
+
+    out = tmp_path / "BENCH.json"
+    bench.merge(out, {"parent": {"seeds": [51]}, "end_to_end": {"verify": {"61": 1}}})
+    data = bench.merge(out, {"change": {"seeds": [52]}, "end_to_end": {"verify": {"62": 2}}})
+    assert data == {"parent": {"seeds": [51]}, "change": {"seeds": [52]},
+                    "end_to_end": {"verify": {"61": 1, "62": 2}}}
+    assert json.loads(out.read_text()) == data
+
+
+def test_bench_record_summarizes_pairs():
+    bench = load("bench_record")
+    pairs = {str(s): {"parent": {"ops": p, "ms": 10.0}, "change": {"ops": c, "ms": 9.0}}
+             for s, p, c in ((61, 10.0, 15.0), (62, 12.0, 11.0), (63, 11.0, 16.0))}
+    got = bench.summarize(pairs, [{"name": "ops", "better": "higher"},
+                                  {"name": "ms", "better": "lower"},
+                                  {"name": "missing", "better": "lower"}])
+    assert got["ops"] == {"parent_median": 11.0, "change_median": 15.0, "parent_iqr": 2.0,
+                          "change_wins": 2, "pairs": 3}
+    assert got["ms"]["change_wins"] == 3
+    assert "missing" not in got
+    assert bench.parse_seeds("61-63") == [61, 62, 63]
+    assert bench.parse_seeds("5,7") == [5, 7]
