@@ -273,12 +273,23 @@ def _point_to_mask(point: int | Sequence[int], nvars: int) -> int:
 # --- canonical text form ---
 
 
+def _byte_indices(k: int) -> tuple[str, ...]:
+    """The written indices of each byte value at byte offset k of a mask.
+
+    Entry b is entry b without its top bit, then the index of that bit, so
+    the row costs one short string per entry to build.
+    """
+    row = [""]
+    for b in range(1, 256):
+        top = b.bit_length()
+        rest = row[b ^ (1 << (top - 1))]
+        row.append(f"{rest},{8 * k + top}" if rest else str(8 * k + top))
+    return tuple(row)
+
+
 # _BYTE_INDICES[k][b]: the written indices of byte value b at byte offset k
 # of a mask, e.g. _BYTE_INDICES[1][0b1011] == "9,10,12".
-_BYTE_INDICES = tuple(
-    tuple(",".join(str(8 * k + i + 1) for i in range(8) if b >> i & 1) for b in range(256))
-    for k in range(NVARS_MAX // 8)
-)
+_BYTE_INDICES = tuple(_byte_indices(k) for k in range(NVARS_MAX // 8))
 
 
 def poly_to_text(p: Poly) -> str:
