@@ -212,21 +212,22 @@ class Poly:
             if img.nvars != nv:
                 raise DimensionError("images disagree on variable count")
         # Memoize the term maps of products of image subsets: monomials often
-        # share factors.  Only the result is built as a Poly.
+        # share factors.  The product for a mask is the one for the mask
+        # without its lowest bit times that bit's image.  Only the result is
+        # built as a Poly, and the cache is freed on return (a recursive
+        # closure would hold it in a reference cycle until the next collection).
         cache: dict[int, dict[int, int]] = {0: {0: 1}}
-
-        def product(mask: int) -> dict[int, int]:
-            got = cache.get(mask)
-            if got is not None:
-                return got
-            low = mask & -mask
-            t = _mul_terms(product(mask ^ low), images[low.bit_length() - 1].terms)
-            cache[mask] = t
-            return t
-
         acc: dict[int, int] = {}
         for mask, coeff in self.terms.items():
-            for m2, c2 in product(mask).items():
+            missing = []
+            m = mask
+            while m not in cache:
+                missing.append(m)
+                m ^= m & -m
+            prod = cache[m]
+            for m in reversed(missing):
+                prod = cache[m] = _mul_terms(prod, images[(m & -m).bit_length() - 1].terms)
+            for m2, c2 in prod.items():
                 acc[m2] = acc.get(m2, 0) + coeff * c2
         return Poly(nv, acc)
 
