@@ -149,11 +149,15 @@ def record_pairs(checkout: Path, parent: Path, workload: str, seeds: list[int], 
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``61-70`` or ``61,63,65``."""
+    """``61-70`` or ``61,63,65``; at least one seed."""
     if "-" in text:
         lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(s) for s in text.split(",")]
+    if not seeds:
+        raise ValueError(f"no seeds in {text!r}")
+    return seeds
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -145,6 +146,19 @@ def test_substitute_matches_pointwise_composition(n, k, seed, data):
         assert got.evaluate(x) == p.evaluate(sum(b << i for i, b in enumerate(values)))
 
 
+def test_substitute_frees_its_product_cache_on_return():
+    # a cache held in a reference cycle stays alive until the next collection
+    p = v(1) * v(2) + v(3) * v(4) - v(1) * v(2) * v(3)
+    images = [v(2) + v(3), 1 - v(1), v(1) * v(4), v(2)]
+    gc.collect()
+    gc.disable()
+    try:
+        p.substitute(images)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_substitute_length_mismatch():
     with pytest.raises(DimensionError):
         v(1, 2).substitute([v(1, 2)])
@@ -186,7 +200,7 @@ def test_mul_associates_and_distributes(p, q, r):
 def wide_polys(draw):
     """Polynomials in 0..NVARS_MAX variables whose masks reach every byte, bit 63 included."""
     nvars = draw(st.integers(0, NVARS_MAX))
-    top = 1 << nvars - 1 if nvars else 0
+    top = 1 << (nvars - 1) if nvars else 0
     mask = st.builds(int.__or__, st.integers(0, (1 << nvars) - 1), st.sampled_from((0, top)))
     coeff = st.integers(-4, 4) | st.sampled_from((1, -1, 2**200, -(2**200)))
     return Poly(nvars, draw(st.dictionaries(mask, coeff, max_size=8)))
@@ -205,11 +219,6 @@ def test_text_round_trip(p):
     assert lines[1:] == [
         f"{p.terms[m]}:{','.join(map(str, indices_of(m)))}" for m in sorted(p.terms)
     ]
-
-
-def test_text_writes_every_single_index():
-    for i in range(1, NVARS_MAX + 1):
-        assert poly_to_text(Poly(NVARS_MAX, {1 << (i - 1): -2})) == f"nvars={NVARS_MAX}\n-2:{i}"
 
 
 def test_text_format_shape():

@@ -65,3 +65,5 @@ def test_bench_record_summarizes_pairs():
     assert "missing" not in got
     assert bench.parse_seeds("61-63") == [61, 62, 63]
     assert bench.parse_seeds("5,7") == [5, 7]
+    with pytest.raises(ValueError):
+        bench.parse_seeds("63-61")
