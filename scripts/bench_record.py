@@ -1,15 +1,18 @@
-"""Record perfbench runs of cubesign checkouts into a BENCH_*.json file.
+"""Record perfbench runs of a parent and a changed checkout into a BENCH_*.json file.
 
-Per-layer traces of one checkout: every workload, traced, over seeds 51..53.
+Per-layer traces of both checkouts: every workload, traced, over seeds 51..53.
 
-    python3 scripts/bench_record.py --checkout DIR --label NAME --out FILE
+    python3 scripts/bench_record.py --checkout DIR --parent DIR --out FILE
 
-stores under ``NAME`` in ``FILE`` the result objects, the per-metric medians
-across the seeds, the absent traced names, the checkout's git revision, the
-seeds and nproc.  One traced run per side is too noisy to decide a per-layer
-claim; the median over several seeds is steadier.
+runs the two checkouts one after the other for each workload and seed,
+alternating which runs first, so host drift during the recording reaches
+both sides alike.  It stores under ``parent`` and ``change`` in ``FILE`` the
+result objects, the per-metric medians across the seeds, the absent traced
+names, the checkout's git revision, the seeds and nproc.  One traced run per
+side is too noisy to decide a per-layer claim; the median over several seeds
+is steadier.
 
-End-to-end pairs of a parent and a changed checkout on one workload:
+End-to-end pairs of the two checkouts on one workload:
 
     python3 scripts/bench_record.py --checkout DIR --parent DIR --workload W \\
         --seeds 61-70 --out FILE
@@ -25,6 +28,7 @@ kept in both modes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import statistics
@@ -81,26 +85,33 @@ def merge(path: Path, updates: dict) -> dict:
     return data
 
 
-def record_traces(checkout: Path, label: str, out: Path) -> dict:
-    traces = {}
-    for workload in WORKLOADS:
-        runs = []
-        for seed in TRACE_SEEDS:
-            result, report = run_perfbench(checkout, workload, seed, TRACE_ARGS)
-            runs.append({"seed": seed, "src_sha256": report["provenance"]["src_sha256"],
-                         "absent": report.get("absent", []), "result": result})
-        traces[workload] = {
-            "absent": sorted({name for run in runs for name in run["absent"]}),
-            "median": medians([run["result"] for run in runs]),
-            "runs": runs,
-        }
-    return merge(out, {label: {
-        "git_revision": git_revision(checkout),
+def side_order(k: int) -> tuple[str, str]:
+    """The sides of the k-th pair of runs, in the order they run."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
+
+
+def record_traces(checkout: Path, parent: Path, out: Path) -> dict:
+    dirs = {"parent": parent, "change": checkout}
+    runs: dict[str, dict[str, list]] = {side: {w: [] for w in WORKLOADS} for side in dirs}
+    for k, (workload, seed) in enumerate(itertools.product(WORKLOADS, TRACE_SEEDS)):
+        order = side_order(k)
+        for side in order:
+            result, report = run_perfbench(dirs[side], workload, seed, TRACE_ARGS)
+            runs[side][workload].append({
+                "seed": seed, "ran_first": order[0], "src_sha256": report["provenance"]["src_sha256"],
+                "absent": report.get("absent", []), "result": result,
+            })
+    return merge(out, {side: {
+        "git_revision": git_revision(dirs[side]),
         "seeds": list(TRACE_SEEDS),
         "nproc": os.cpu_count(),
         "command": "python3 perfbench/run.py --workload W --seed S " + " ".join(TRACE_ARGS),
-        "trace": traces,
-    }})
+        "trace": {workload: {
+            "absent": sorted({name for run in wruns for name in run["absent"]}),
+            "median": medians([run["result"] for run in wruns]),
+            "runs": wruns,
+        } for workload, wruns in runs[side].items()},
+    } for side in dirs})
 
 
 def end_to_end_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -136,7 +147,7 @@ def record_pairs(checkout: Path, parent: Path, workload: str, seeds: list[int], 
     declared = json.loads((checkout / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
     for k, seed in enumerate(seeds):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        order = side_order(k)
         pair = {side: end_to_end_side(parent if side == "parent" else checkout, workload, seed, seconds)
                 for side in order}
         data = merge(out, {"end_to_end": {workload: {str(seed): {**pair, "ran_first": order[0]}}}})
@@ -162,21 +173,19 @@ def parse_seeds(text: str) -> list[int]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--checkout", type=Path, required=True, help="checkout to run (the change, for pairs)")
+    parser.add_argument("--checkout", type=Path, required=True, help="the changed checkout")
+    parser.add_argument("--parent", type=Path, required=True, help="the parent checkout")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to merge into")
-    parser.add_argument("--label", help="key of the traced runs in the file")
-    parser.add_argument("--parent", type=Path, help="parent checkout: run end-to-end pairs instead")
-    parser.add_argument("--workload", choices=WORKLOADS, help="workload of the pairs")
-    parser.add_argument("--seeds", type=parse_seeds, help="seeds of the pairs, e.g. 61-70")
+    parser.add_argument("--workload", choices=WORKLOADS, help="workload of end-to-end pairs")
+    parser.add_argument("--seeds", type=parse_seeds, help="seeds of end-to-end pairs, e.g. 61-70")
     args = parser.parse_args(argv)
-    if args.parent is None:
-        if not args.label:
-            parser.error("--label is required for traced runs")
-        record_traces(args.checkout.resolve(), args.label, args.out)
+    checkout, parent = args.checkout.resolve(), args.parent.resolve()
+    if args.workload is None and args.seeds is None:
+        record_traces(checkout, parent, args.out)
+    elif args.workload and args.seeds:
+        record_pairs(checkout, parent, args.workload, args.seeds, args.out)
     else:
-        if not (args.workload and args.seeds):
-            parser.error("--workload and --seeds are required with --parent")
-        record_pairs(args.checkout.resolve(), args.parent.resolve(), args.workload, args.seeds, args.out)
+        parser.error("--workload and --seeds go together")
     return 0
 
 

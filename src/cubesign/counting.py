@@ -86,7 +86,7 @@ def exact_value_counts(p: Poly) -> ValueCounts:
 
 
 def _cube_bound(p: Poly) -> int:
-    return sum(abs(c) for c in p.terms.values())
+    return sum(map(abs, p.terms.values()))
 
 
 def fits_int64(p: Poly, inputs: Sequence[Poly] | None = None) -> bool:
@@ -116,26 +116,44 @@ def _subcube_width(points: range) -> int:
     return size.bit_length() - 1
 
 
+def _zeta_passes(values: np.ndarray, lo: int, hi: int) -> None:
+    """Add, for each bit i in lo..hi-1, every entry into the one with bit i set."""
+    for i in range(lo, hi):
+        pairs = values.reshape(-1, 2, 1 << i)
+        pairs[:, 1, :] += pairs[:, 0, :]
+
+
 def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
     """Values of p at start + j for j < 2**k, start a multiple of 2**k.
 
     A term contributes at start + j exactly when its bits above k lie inside
     start and its low k bits inside j.  The kept terms' coefficients are
-    placed at their low bits, then k in-place passes add each entry into the
-    entries whose index is a superset of its own (the zeta transform).
+    placed at their low bits, then one pass per bit adds each entry into the
+    entry whose index also has that bit (the zeta transform).
+
+    Every entry is a sum of some of p's coefficients, so the cube bound
+    sum |c| bounds it, and the passes are exact in int32 below 2**31.  A
+    pass over bit i adds rows of 2**i entries, and numpy is slow on short
+    rows.  So with h = k // 2 the block starts transposed, as j's low h bits
+    above its high k - h bits, and the low bits' passes run there as bits
+    k-h..k-1.  One copy transposes the block back for the high bits' passes.
     """
     low = (1 << k) - 1
     top = np.uint64(start | low)
-    dtype = np.int64 if fits_int64(p) else object
+    bound = _cube_bound(p)
+    dtype = np.int64 if bound < INT64_SAFE_BOUND else object
+    work = np.int32 if bound < 1 << 31 else dtype
     masks = np.fromiter(p.terms, dtype=np.uint64, count=len(p.terms))
-    coeffs = np.array(list(p.terms.values()), dtype=dtype)
+    coeffs = np.array(list(p.terms.values()), dtype=work)
     inside = (masks | top) == top
-    values = np.zeros(1 << k, dtype=dtype)
-    np.add.at(values, (masks[inside] & np.uint64(low)).astype(np.intp), coeffs[inside])
-    for i in range(k):
-        pairs = values.reshape(-1, 2, 1 << i)
-        pairs[:, 1, :] += pairs[:, 0, :]
-    return values
+    j = (masks[inside] & np.uint64(low)).astype(np.intp)
+    h = k // 2
+    swapped = np.zeros(1 << k, dtype=work)
+    np.add.at(swapped, ((j & ((1 << h) - 1)) << (k - h)) | (j >> h), coeffs[inside])
+    _zeta_passes(swapped, k - h, k)
+    values = swapped.reshape(1 << h, 1 << (k - h)).T.copy().reshape(-1)
+    _zeta_passes(values, h, k)
+    return values.astype(dtype, copy=False)
 
 
 def _columns(masks: np.ndarray, width: int) -> list[int]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,23 +153,28 @@ def sample_challenge(rng: random.Random) -> Poly:
 
 
 def _challenge_positive(
-    challenge: Poly, components: list[Poly], points: np.ndarray | range
+    challenge: Poly, components: list[Poly], blocks: Sequence[np.ndarray | range]
 ) -> int:
-    """Count points where the challenge applied to component values is positive."""
+    """Count points of the blocks where the challenge of the component values is positive.
+
+    Whether int64 combines the values exactly is checked once for all blocks.
+    """
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
-    vals = [evaluate_batch(p, points) for p in components]
-    dtype = np.int64
-    if not fits_int64(challenge, components):
-        vals = [v.astype(object) for v in vals]
-        dtype = object
-    acc = np.zeros(len(points), dtype=dtype)
-    for mask, c in challenge.terms.items():
-        term = np.full(len(points), c, dtype=dtype)
-        for i in indices_of(mask):
-            term = term * vals[i - 1]
-        acc = acc + term
-    return int((acc > 0).sum())
+    dtype = np.int64 if fits_int64(challenge, components) else object
+    count = 0
+    for points in blocks:
+        vals = [evaluate_batch(p, points) for p in components]
+        if dtype is object:
+            vals = [v.astype(object) for v in vals]
+        acc = np.zeros(len(points), dtype=dtype)
+        for mask, c in challenge.terms.items():
+            term = np.full(len(points), c, dtype=dtype)
+            for i in indices_of(mask):
+                term = term * vals[i - 1]
+            acc = acc + term
+        count += int((acc > 0).sum())
+    return count
 
 
 def verify_poly(
@@ -213,8 +219,8 @@ def verify_poly(
         # Independent draws for the two sides.
         ref_points = [np.concatenate(sample_tuple_chunks(m, total, rng))]
         signed_points = [np.concatenate(sample_tuple_chunks(m, total, rng))]
-    ref = sum(_challenge_positive(challenge, reference_side, pts) for pts in ref_points)
-    signed = sum(_challenge_positive(challenge, signed_side, pts) for pts in signed_points)
+    ref = _challenge_positive(challenge, reference_side, ref_points)
+    signed = _challenge_positive(challenge, signed_side, signed_points)
     allowed = math.floor(params.threshold * total)
     return VerifyReport(
         accepted=abs(ref - signed) <= allowed,

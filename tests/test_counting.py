@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cubesign.counting import (
+    CUBE_BLOCK,
     EXACT_NVARS_LIMIT,
     INT64_SAFE_BOUND,
     ValueCounts,
@@ -233,18 +234,43 @@ SUBCUBE_POLYS = [
     Poly.const(-7, 0),
     # the cube bound passes 2**62, forcing exact Python integers
     Poly(8, {0b11: INT64_SAFE_BOUND - 1, 0b10000100: -(INT64_SAFE_BOUND - 3), 0: 5}),
+    # cube bounds 2**31 - 1 and 2**31, both reached at the all-ones point:
+    # the passes may run in int32 for the first only
+    Poly(8, {0b1: 2**30, 0b110: 2**29, 0b10000000: 2**28, 0b1010000: 2**28 - 1}),
+    Poly(8, {0b1: 2**30, 0b110: 2**29, 0b10000000: 2**28, 0b1010000: 2**28}),
 ]
 
 
 @pytest.mark.parametrize("p", SUBCUBE_POLYS)
 def test_evaluate_batch_on_aligned_subcubes_matches_pointwise(p):
     total = 2 ** p.nvars
+    # k = 0 and k = 1 have h = k // 2 = 0: no transposed passes
     for k in range(p.nvars + 1):
         for start in range(0, total, 2 ** k):
             block = range(start, start + 2 ** k)
             values = evaluate_batch(p, block)
             assert values.dtype == (np.int64 if fits_int64(p) else object)
             assert values.tolist() == [p.evaluate(x) for x in block]
+
+
+def test_evaluate_batch_on_a_full_block_matches_numpy():
+    # a CUBE_BLOCK of 2**16 points inside an 18-variable cube, so the high
+    # bits of each term select the terms the block keeps
+    rng = random.Random(31)
+    terms = {}
+    while len(terms) < 400:
+        mask = sum({1 << rng.randrange(18) for _ in range(rng.randint(0, 5))})
+        terms[mask] = rng.randint(-9, 9) or 1
+    p = Poly(18, terms)
+    start = 2 * CUBE_BLOCK
+    block = range(start, start + CUBE_BLOCK)
+    points = np.arange(start, start + CUBE_BLOCK, dtype=np.int64)
+    expected = np.zeros(CUBE_BLOCK, dtype=np.int64)
+    for mask, c in terms.items():
+        expected += c * ((points & mask) == mask)
+    values = evaluate_batch(p, block)
+    assert values.dtype == np.int64
+    assert np.array_equal(values, expected)
 
 
 @pytest.mark.parametrize("p", SUBCUBE_POLYS)

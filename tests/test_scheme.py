@@ -202,6 +202,43 @@ def test_exhaustive_wrong_key_counts_are_pinned():
     assert not rep.accepted
 
 
+def cube_recount(challenge, components):
+    """Points of the whole cube where challenge(components) > 0, by plain numpy."""
+    cube = np.arange(1 << components[0].nvars, dtype=np.int64)
+    values = []
+    for p in components:
+        v = np.zeros(len(cube), dtype=np.int64)
+        for mask, c in p.terms.items():
+            v += c * ((cube & mask) == mask)
+        values.append(v.astype(object))
+    acc = 0
+    for mask, c in challenge.terms.items():
+        term = c
+        for i in range(CHALLENGE_NVARS):
+            if (mask >> i) & 1:
+                term = term * values[i]
+        acc = acc + term
+    return int((acc > 0).sum())
+
+
+def test_exhaustive_verify_matches_whole_cube_recount():
+    # n=17 enumerates 2**18 points in four blocks, one dtype check per side
+    params = SchemeParams(n=17, trials=1000)
+    rng = random.Random(9)
+    priv, pub = keygen(params, rng)
+    q = synth_q(params.n + 1, rng)
+    wrong = PrivateKey(sample_automorphism(params, random.Random(900)))
+    m = params.n + 1
+    for signer, seed in ((priv, 4), (wrong, 5)):
+        sig = sign_poly(signer, params, q, random.Random(seed))
+        rep = verify_poly(pub, q, sig, params=params, rng=random.Random(seed), exhaustive=True)
+        reference = [p.widen(m) for p in pub.base] + [q]
+        signed = [p.widen(m) for p in pub.mapped] + [sig.poly]
+        assert rep.trials == 1 << m
+        assert rep.reference_positive == cube_recount(rep.challenge, reference)
+        assert rep.signed_positive == cube_recount(rep.challenge, signed)
+
+
 def test_challenge_exact_path_matches_pointwise_recount():
     # each component fits int64 on its own; their products under the challenge do not
     rng = random.Random(17)
@@ -220,7 +257,7 @@ def test_challenge_exact_path_matches_pointwise_recount():
     expected = sum(combined.evaluate(point) > 0 for point in range(1 << nv))
     assert 0 < expected < 1 << nv
     points = np.arange(1 << nv, dtype=np.uint64)
-    assert _challenge_positive(challenge, components, points) == expected
+    assert _challenge_positive(challenge, components, [points]) == expected
 
 
 def test_unmapped_hash_polynomial_mostly_fails():

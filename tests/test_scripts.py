@@ -67,3 +67,36 @@ def test_bench_record_summarizes_pairs():
     assert bench.parse_seeds("5,7") == [5, 7]
     with pytest.raises(ValueError):
         bench.parse_seeds("63-61")
+
+
+def test_bench_record_interleaves_traced_runs(tmp_path, monkeypatch):
+    bench = load("bench_record")
+    calls = []
+
+    def fake_run(checkout, workload, seed, extra):
+        calls.append((checkout.name, workload, seed))
+        value = 1.0 if checkout.name == "parent" else 2.0
+        result = {"metrics": {"counting.evaluate_s": {"value": value + seed, "unit": "s/op"}}}
+        return result, {"provenance": {"src_sha256": checkout.name}, "absent": []}
+
+    monkeypatch.setattr(bench, "run_perfbench", fake_run)
+    monkeypatch.setattr(bench, "git_revision", lambda checkout: checkout.name)
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--checkout", str(tmp_path / "change"), "--parent", str(tmp_path / "parent"),
+                       "--out", str(out)]) == 0
+    # each workload and seed runs both sides back to back, the first side alternating
+    expected = []
+    for k, (workload, seed) in enumerate((w, s) for w in bench.WORKLOADS for s in bench.TRACE_SEEDS):
+        sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        expected += [(side, workload, seed) for side in sides]
+    assert calls == expected
+    data = json.loads(out.read_text())
+    for side, base in (("parent", 1.0), ("change", 2.0)):
+        assert data[side]["git_revision"] == side
+        trace = data[side]["trace"]["exhaustive"]
+        assert [run["seed"] for run in trace["runs"]] == list(bench.TRACE_SEEDS)
+        assert trace["median"]["counting.evaluate_s"]["value"] == base + 52
+    assert [run["ran_first"] for run in data["parent"]["trace"]["verify"]["runs"]] == [
+        "parent", "change", "parent"]
+    with pytest.raises(SystemExit):
+        bench.main(["--checkout", "c", "--parent", "p", "--out", str(out), "--workload", "verify"])
