@@ -222,7 +222,7 @@ def cube_recount(challenge, components):
 
 
 def test_exhaustive_verify_matches_whole_cube_recount():
-    # n=17 enumerates 2**18 points in four blocks, one dtype check per side
+    # n=17 enumerates 2**18 points in four blocks
     params = SchemeParams(n=17, trials=1000)
     rng = random.Random(9)
     priv, pub = keygen(params, rng)
