@@ -7,10 +7,15 @@ Per-layer traces of both checkouts: every workload, traced, over seeds 51..53.
 runs the two checkouts one after the other for each workload and seed,
 alternating which runs first, so host drift during the recording reaches
 both sides alike.  It stores under ``parent`` and ``change`` in ``FILE`` the
-result objects, the per-metric medians across the seeds, the absent traced
-names, the checkout's git revision, the seeds and nproc.  One traced run per
-side is too noisy to decide a per-layer claim; the median over several seeds
-is steadier.
+result objects with each run's probe time ``calibration_ms``, the per-metric
+medians across the seeds, the absent traced names, the checkout's git
+revision, the seeds and nproc.  One traced run per side is too noisy to
+decide a per-layer claim; the median over several seeds is steadier.
+
+Traced times are wall times of one run, so they move with the host's speed.
+``median_probe_scaled`` holds the medians of the time metrics (unit ``s/op``
+or ``ms``) with each run's value scaled as ``perfbench/run.py`` scales its
+gated times: by ``REF_PROBE_MS`` over the run's ``calibration_ms``.
 
 End-to-end pairs of the two checkouts on one workload:
 
@@ -28,6 +33,7 @@ kept in both modes.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import json
 import os
@@ -39,6 +45,16 @@ from pathlib import Path
 WORKLOADS = ("verify", "keygen_sign", "exhaustive")
 TRACE_SEEDS = (51, 52, 53)
 TRACE_ARGS = ("--seconds", "0", "--trace", "1")
+TIME_UNITS = ("s/op", "ms")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def ref_probe_ms() -> float:
+    """The nominal probe time to which ``perfbench/run.py`` scales its gated times."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.REF_PROBE_MS
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, extra: tuple[str, ...]) -> tuple[dict, dict]:
@@ -69,6 +85,13 @@ def medians(results: list[dict]) -> dict[str, dict]:
     return {name: {"value": statistics.median(m["values"]), "unit": m["unit"]} for name, m in out.items()}
 
 
+def probe_scaled(run: dict, ref_ms: float) -> dict:
+    """A traced run's time metrics, each scaled by ``ref_ms`` over the run's probe time."""
+    scale = ref_ms / run["calibration_ms"]
+    return {"metrics": {name: {"value": m["value"] * scale, "unit": m["unit"]}
+                        for name, m in run["result"]["metrics"].items() if m["unit"] in TIME_UNITS}}
+
+
 def merge(path: Path, updates: dict) -> dict:
     """Merge nested ``updates`` into the JSON object stored at ``path`` and write it back."""
     data = json.loads(path.read_text()) if path.exists() else {}
@@ -92,6 +115,7 @@ def side_order(k: int) -> tuple[str, str]:
 
 def record_traces(checkout: Path, parent: Path, out: Path) -> dict:
     dirs = {"parent": parent, "change": checkout}
+    ref_ms = ref_probe_ms()
     runs: dict[str, dict[str, list]] = {side: {w: [] for w in WORKLOADS} for side in dirs}
     for k, (workload, seed) in enumerate(itertools.product(WORKLOADS, TRACE_SEEDS)):
         order = side_order(k)
@@ -99,16 +123,19 @@ def record_traces(checkout: Path, parent: Path, out: Path) -> dict:
             result, report = run_perfbench(dirs[side], workload, seed, TRACE_ARGS)
             runs[side][workload].append({
                 "seed": seed, "ran_first": order[0], "src_sha256": report["provenance"]["src_sha256"],
-                "absent": report.get("absent", []), "result": result,
+                "absent": report.get("absent", []), "calibration_ms": report["calibration_ms"],
+                "result": result,
             })
     return merge(out, {side: {
         "git_revision": git_revision(dirs[side]),
         "seeds": list(TRACE_SEEDS),
         "nproc": os.cpu_count(),
+        "ref_probe_ms": ref_ms,
         "command": "python3 perfbench/run.py --workload W --seed S " + " ".join(TRACE_ARGS),
         "trace": {workload: {
             "absent": sorted({name for run in wruns for name in run["absent"]}),
             "median": medians([run["result"] for run in wruns]),
+            "median_probe_scaled": medians([probe_scaled(run, ref_ms) for run in wruns]),
             "runs": wruns,
         } for workload, wruns in runs[side].items()},
     } for side in dirs})

@@ -158,9 +158,11 @@ def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
 
 def _columns(masks: np.ndarray, width: int) -> list[int]:
     """Bit-sliced points: column i is an int whose bit j is bit i of masks[j]."""
-    octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :width]
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    # Bit i is byte i // 8 shifted right by i % 8, so every intermediate is uint8.
+    octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8).T
+    bit = np.arange(width, dtype=np.uint8)
+    bits = (octets[bit >> 3] >> (bit & 7)[:, None]) & 1
+    packed = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 

@@ -42,7 +42,7 @@ from .automorphisms import (
 from .counting import cube_blocks, evaluate_batch, fits_int64, sample_tuple_chunks
 from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
-from .poly import Poly, indices_of, poly_from_block, poly_from_text, poly_to_text, split_blocks
+from .poly import Poly, poly_from_block, poly_from_text, poly_to_text, split_blocks
 
 PUBLIC_POLY_COUNT = 3
 CHALLENGE_NVARS = 4
@@ -152,28 +152,47 @@ def sample_challenge(rng: random.Random) -> Poly:
             return p
 
 
+def _nested_combine(coeffs: list[int], vals: list[np.ndarray]) -> np.ndarray | int:
+    """Sum over masks of coeffs[mask] times the product of vals[i] for the bits i of mask.
+
+    Nested as f0 + v * f1 over the halves of coeffs, in place on the new arrays
+    it returns.  Zero halves are skipped, so a constant form gives coeffs[0].
+    """
+    if len(coeffs) == 1:
+        return coeffs[0]
+    half = len(coeffs) // 2
+    low, high = _nested_combine(coeffs[:half], vals), _nested_combine(coeffs[half:], vals)
+    v = vals[half.bit_length() - 1]
+    if isinstance(high, np.ndarray):
+        high *= v
+    elif high:
+        high = high * v
+    else:
+        return low
+    if isinstance(low, np.ndarray) or low:
+        high += low
+    return high
+
+
 def _challenge_positive(
     challenge: Poly, components: list[Poly], blocks: Sequence[np.ndarray | range]
 ) -> int:
     """Count points of the blocks where the challenge of the component values is positive.
 
-    Whether int64 combines the values exactly is checked once for all blocks.
+    Whether int64 combines the values exactly is checked once for all blocks;
+    a component with ``object`` values makes its whole block ``object``.
     """
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
-    dtype = np.int64 if fits_int64(challenge, components) else object
+    exact = fits_int64(challenge, components)
+    coeffs = [challenge.terms.get(mask, 0) for mask in range(1 << challenge.nvars)]
     count = 0
     for points in blocks:
         vals = [evaluate_batch(p, points) for p in components]
-        if dtype is object:
+        if not exact or any(v.dtype == object for v in vals):
             vals = [v.astype(object) for v in vals]
-        acc = np.zeros(len(points), dtype=dtype)
-        for mask, c in challenge.terms.items():
-            term = np.full(len(points), c, dtype=dtype)
-            for i in indices_of(mask):
-                term = term * vals[i - 1]
-            acc = acc + term
-        count += int((acc > 0).sum())
+        positive = _nested_combine(coeffs, vals) > 0
+        count += int(np.count_nonzero(np.broadcast_to(positive, len(points))))
     return count
 
 
@@ -209,8 +228,9 @@ def verify_poly(
         if p.nvars != params.n:
             raise DimensionError("public key polynomials disagree with the parameter set")
     challenge = sample_challenge(rng)
-    reference_side = [p.widen(m) for p in pub.base] + [message_poly]
-    signed_side = [p.widen(m) for p in pub.mapped] + [sig.poly]
+    # Only terms are read, so the n-variable public polynomials need no widening.
+    reference_side = [*pub.base, message_poly]
+    signed_side = [*pub.mapped, sig.poly]
     if exhaustive:
         total = 1 << m
         ref_points = signed_points = cube_blocks(m)

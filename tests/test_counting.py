@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cubesign.counting import (
     CUBE_BLOCK,
+    _columns,
     EXACT_NVARS_LIMIT,
     INT64_SAFE_BOUND,
     ValueCounts,
@@ -209,6 +210,16 @@ def test_evaluate_batch_matches_pointwise_property(case):
     # int64 exactly when every value fits in 63 two's-complement planes
     in_63_planes = all(-(2**62) <= x < 2**62 for x in values.tolist())
     assert values.dtype == (np.int64 if in_63_planes else object)
+
+
+@pytest.mark.parametrize("npoints", [1, 7, 8, 513])
+def test_columns_match_a_per_point_transpose(npoints):
+    rng = random.Random(npoints)
+    masks = [rng.getrandbits(64) | (1 << 63) * (j % 2) for j in range(npoints)]
+    points = np.array(masks, dtype=np.uint64)
+    for width in (0, 1, 31, 32, 63, 64):
+        expected = [sum(((m >> i) & 1) << j for j, m in enumerate(masks)) for i in range(width)]
+        assert _columns(points, width) == expected
 
 
 def test_evaluate_batch_peak_memory_stays_small():

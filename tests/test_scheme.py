@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubesign.automorphisms import extend_for_signing, sample_automorphism, sample_indicator
-from cubesign.counting import exact_value_counts, fits_int64
+from cubesign.counting import cube_blocks, exact_value_counts, fits_int64, sample_tuple_chunks
 from cubesign.errors import DimensionError, FormatError
 from cubesign.params import SchemeParams
 from cubesign.poly import Poly, mask_of, split_blocks
@@ -258,6 +258,98 @@ def test_challenge_exact_path_matches_pointwise_recount():
     assert 0 < expected < 1 << nv
     points = np.arange(1 << nv, dtype=np.uint64)
     assert _challenge_positive(challenge, components, [points]) == expected
+
+
+def pointwise_positive(challenge, components, points):
+    """Points where the materialized combination is positive, one evaluate per point."""
+    combined = combine(challenge, components)
+    return sum(combined.evaluate(int(point)) > 0 for point in points)
+
+
+def small_components(rng, nv, magnitude):
+    return [
+        Poly(nv, {rng.randrange(1 << nv): rng.choice((1, -1)) * rng.randrange(1, magnitude)
+                  for _ in range(6)})
+        for _ in range(CHALLENGE_NVARS)
+    ]
+
+
+@pytest.mark.parametrize("magnitude", [4, 1 << 41], ids=["int64", "object"])
+@pytest.mark.parametrize("terms", [
+    {0: 3},
+    {0: -2},
+    {0b0001: 1, 0b0110: -2, 0b1000: 2, 0b1111: -1},
+    {0b1001: 2, 0b0011: -1, 0b1110: 1},
+], ids=["positive-constant", "negative-constant", "no-constant", "no-constant-sparse"])
+def test_challenge_combine_matches_pointwise_recount(terms, magnitude):
+    rng = random.Random(len(terms) * 31 + magnitude % 97)
+    nv = 8
+    components = small_components(rng, nv, magnitude)
+    if magnitude > 4 and set(terms) == {0}:
+        # a constant-only challenge fits int64 unless the constant itself does not
+        terms = {0: terms[0] << 70}
+    challenge = Poly(CHALLENGE_NVARS, terms)
+    assert fits_int64(challenge, components) == (magnitude == 4)
+    samples = np.array([rng.getrandbits(nv) for _ in range(300)], dtype=np.uint64)
+    for blocks, points in (([samples], samples.tolist()), (cube_blocks(nv), range(1 << nv))):
+        expected = pointwise_positive(challenge, components, points)
+        assert _challenge_positive(challenge, components, blocks) == expected
+    if set(terms) == {0}:
+        assert expected == (1 << nv) * (terms[0] > 0)
+
+
+def test_challenge_exact_path_over_two_cube_blocks():
+    # coefficients near 2**40, so the products need Python ints, over 2**17 points
+    rng = random.Random(23)
+    nv = 17
+    components = [
+        Poly(nv, {
+            sum(1 << b for b in rng.sample(range(nv), rng.randint(1, 3))):
+                rng.choice((1, -1)) * rng.randrange(1 << 39, 1 << 41)
+            for _ in range(3)
+        })
+        for _ in range(CHALLENGE_NVARS)
+    ]
+    challenge = Poly(CHALLENGE_NVARS, {0: -5, 0b0011: 1, 0b0101: -2, 0b1110: 2, 0b1111: 1})
+    assert not fits_int64(challenge, components)
+    blocks = cube_blocks(nv)
+    assert len(blocks) == 2
+    expected = exact_value_counts(combine(challenge, components)).positive
+    assert expected == cube_recount(challenge, components)
+    assert 0 < expected < 1 << nv
+    assert _challenge_positive(challenge, components, blocks) == expected
+
+
+def test_challenge_combine_promotes_a_block_with_object_values():
+    # the huge component only meets the zero one, so its products are bounded
+    # by 0 and int64 is exact, yet its own values come back as Python ints
+    nv = 6
+    big = Poly(nv, {0b1: 1 << 70, 0b110: -3})
+    x = [Poly.variable(i, nv) for i in range(1, nv + 1)]
+    components = [Poly.zero(nv), x[1] - x[2], 2 * x[3] + 1, big]
+    challenge = Poly(CHALLENGE_NVARS, {0: -1, 0b0010: 1, 0b0100: 1, 0b1001: 2})
+    assert fits_int64(challenge, components)
+    for blocks in (cube_blocks(nv), [np.arange(1 << nv, dtype=np.uint64)]):
+        expected = pointwise_positive(challenge, components, range(1 << nv))
+        assert _challenge_positive(challenge, components, blocks) == expected
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_unwidened_components_count_like_their_widened_copies(exhaustive):
+    params = SchemeParams(n=12, trials=700)
+    rng = random.Random(41)
+    priv, pub = keygen(params, rng)
+    m = params.n + 1
+    q = synth_q(m, rng)
+    sig = sign_poly(priv, params, q, rng)
+    points = np.concatenate(sample_tuple_chunks(m, params.trials, random.Random(5)))
+    blocks = cube_blocks(m) if exhaustive else [points]
+    for seed in range(4):
+        challenge = sample_challenge(random.Random(seed))
+        for components in ([*pub.base, q], [*pub.mapped, sig.poly]):
+            widened = [p.widen(m) for p in components]
+            assert _challenge_positive(challenge, components, blocks) == _challenge_positive(
+                challenge, widened, blocks)
 
 
 def test_unmapped_hash_polynomial_mostly_fails():

@@ -76,8 +76,14 @@ def test_bench_record_interleaves_traced_runs(tmp_path, monkeypatch):
     def fake_run(checkout, workload, seed, extra):
         calls.append((checkout.name, workload, seed))
         value = 1.0 if checkout.name == "parent" else 2.0
-        result = {"metrics": {"counting.evaluate_s": {"value": value + seed, "unit": "s/op"}}}
-        return result, {"provenance": {"src_sha256": checkout.name}, "absent": []}
+        result = {"metrics": {"counting.evaluate_s": {"value": value + seed, "unit": "s/op"},
+                              "cli.import_ms": {"value": 100.0, "unit": "ms"},
+                              "counting.term_points_per_s": {"value": 5.0, "unit": "1/s"},
+                              "counting.evaluate_calls": {"value": 8.0, "unit": "calls/op"}}}
+        # the probe takes 10, 20 or 40 ms on seeds 51, 52 and 53
+        report = {"provenance": {"src_sha256": checkout.name}, "absent": [],
+                  "calibration_ms": 10.0 * 2 ** (seed - 51)}
+        return result, report
 
     monkeypatch.setattr(bench, "run_perfbench", fake_run)
     monkeypatch.setattr(bench, "git_revision", lambda checkout: checkout.name)
@@ -96,6 +102,14 @@ def test_bench_record_interleaves_traced_runs(tmp_path, monkeypatch):
         trace = data[side]["trace"]["exhaustive"]
         assert [run["seed"] for run in trace["runs"]] == list(bench.TRACE_SEEDS)
         assert trace["median"]["counting.evaluate_s"]["value"] == base + 52
+        assert [run["calibration_ms"] for run in trace["runs"]] == [10.0, 20.0, 40.0]
+        # each run's times scaled by REF_PROBE_MS over its probe time, then the median
+        ref = bench.ref_probe_ms()
+        assert data[side]["ref_probe_ms"] == ref
+        scaled = trace["median_probe_scaled"]
+        assert set(scaled) == {"counting.evaluate_s", "cli.import_ms"}
+        assert scaled["counting.evaluate_s"] == {"value": (base + 52) * ref / 20.0, "unit": "s/op"}
+        assert scaled["cli.import_ms"] == {"value": 100.0 * ref / 20.0, "unit": "ms"}
     assert [run["ran_first"] for run in data["parent"]["trace"]["verify"]["runs"]] == [
         "parent", "change", "parent"]
     with pytest.raises(SystemExit):
