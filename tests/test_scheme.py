@@ -266,14 +266,6 @@ def pointwise_positive(challenge, components, points):
     return sum(combined.evaluate(int(point)) > 0 for point in points)
 
 
-def small_components(rng, nv, magnitude):
-    return [
-        Poly(nv, {rng.randrange(1 << nv): rng.choice((1, -1)) * rng.randrange(1, magnitude)
-                  for _ in range(6)})
-        for _ in range(CHALLENGE_NVARS)
-    ]
-
-
 @pytest.mark.parametrize("magnitude", [4, 1 << 41], ids=["int64", "object"])
 @pytest.mark.parametrize("terms", [
     {0: 3},
@@ -282,9 +274,13 @@ def small_components(rng, nv, magnitude):
     {0b1001: 2, 0b0011: -1, 0b1110: 1},
 ], ids=["positive-constant", "negative-constant", "no-constant", "no-constant-sparse"])
 def test_challenge_combine_matches_pointwise_recount(terms, magnitude):
-    rng = random.Random(len(terms) * 31 + magnitude % 97)
+    rng = random.Random(len(terms))
     nv = 8
-    components = small_components(rng, nv, magnitude)
+    components = [
+        Poly(nv, {rng.randrange(1 << nv): rng.choice((1, -1)) * rng.randrange(1, magnitude)
+                  for _ in range(6)})
+        for _ in range(CHALLENGE_NVARS)
+    ]
     if magnitude > 4 and set(terms) == {0}:
         # a constant-only challenge fits int64 unless the constant itself does not
         terms = {0: terms[0] << 70}
@@ -296,6 +292,8 @@ def test_challenge_combine_matches_pointwise_recount(terms, magnitude):
         assert _challenge_positive(challenge, components, blocks) == expected
     if set(terms) == {0}:
         assert expected == (1 << nv) * (terms[0] > 0)
+    else:
+        assert 0 < expected < 1 << nv
 
 
 def test_challenge_exact_path_over_two_cube_blocks():
