@@ -94,13 +94,15 @@ def fits_int64(p: Poly, inputs: Sequence[Poly] | None = None) -> bool:
 
     With ``inputs``, the values are those of p with inputs[i-1] in place of
     x_i.  On the cube |q| <= sum |c| for any q, and a product is bounded by
-    the product of its factors' bounds.  int64 sums and products wrap
-    modulo 2**64, so only the final value has to stay in range.
+    the product of its factors' bounds.  An input's bound counts as at least
+    1, so the bound also covers every coefficient of p, which is cast to
+    int64 even where an input is zero.  int64 sums and products wrap modulo
+    2**64, so only the final value has to stay in range.
     """
     if inputs is None:
         bound = _cube_bound(p)
     else:
-        bounds = [_cube_bound(q) for q in inputs]
+        bounds = [max(1, _cube_bound(q)) for q in inputs]
         bound = sum(
             abs(c) * math.prod(bounds[i - 1] for i in indices_of(mask))
             for mask, c in p.terms.items()

@@ -25,6 +25,10 @@ from .errors import CapacityError, DimensionError, FormatError
 
 # Monomial masks (and cube points) must fit in one machine word.
 NVARS_MAX = 64
+# Pair count from which ``_mul_terms`` sums a product in numpy.
+VECTOR_PAIRS = 1 << 10
+# Pairs per chunk of the vectorised product's outer arrays.
+CHUNK_PAIRS = 1 << 16
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -53,12 +57,9 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[int, int]):
-        if isinstance(nvars, bool) or not isinstance(nvars, int):
-            raise TypeError("nvars must be an int")
+        _check_nvars(nvars)
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        if nvars > NVARS_MAX:
-            raise CapacityError(f"at most {NVARS_MAX} variables supported, got {nvars}")
         limit = 1 << nvars
         acc: dict[int, int] = {}
         for mask, coeff in terms.items():
@@ -74,6 +75,18 @@ class Poly:
         self.nvars = nvars
 
     # --- constructors ---
+
+    @classmethod
+    def _unchecked(cls, nvars: int, terms: dict[int, int]) -> Poly:
+        """Wrap a term map the caller owns and has checked, with no copy.
+
+        Its masks must lie below 2**nvars and its coefficients must be
+        nonzero plain ints; ``Poly(...)`` checks both.
+        """
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> Poly:
@@ -134,11 +147,12 @@ class Poly:
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, int) and not isinstance(other, bool):
-            return Poly(self.nvars, {m: c * other for m, c in self.terms.items()})
+            terms = {m: c * other for m, c in self.terms.items()} if other else {}
+            return Poly._unchecked(self.nvars, terms)
         if not isinstance(other, Poly):
             return NotImplemented
         rhs = self._coerce(other)
-        return Poly(self.nvars, _mul_terms(self.terms, rhs.terms))
+        return Poly._unchecked(self.nvars, _mul_terms(self.terms, rhs.terms))
 
     __rmul__ = __mul__
 
@@ -211,13 +225,25 @@ class Poly:
         for img in images:
             if img.nvars != nv:
                 raise DimensionError("images disagree on variable count")
+        acc: dict[int, int] = {}
+        if all(len(img.terms) == 1 and 1 in img.terms.values() for img in images):
+            # Images are monomials of coefficient 1, as for a variable
+            # relabelling: a mask maps to the OR of its bits' image masks.
+            bits = [next(iter(img.terms)) for img in images]
+            for mask, coeff in self.terms.items():
+                m = 0
+                while mask:
+                    low = mask & -mask
+                    m |= bits[low.bit_length() - 1]
+                    mask ^= low
+                acc[m] = acc.get(m, 0) + coeff
+            return Poly._unchecked(nv, _drop_zeros(acc))
         # Memoize the term maps of products of image subsets: monomials often
         # share factors.  The product for a mask is the one for the mask
         # without its lowest bit times that bit's image.  Only the result is
         # built as a Poly, and the cache is freed on return (a recursive
         # closure would hold it in a reference cycle until the next collection).
         cache: dict[int, dict[int, int]] = {0: {0: 1}}
-        acc: dict[int, int] = {}
         for mask, coeff in self.terms.items():
             missing = []
             m = mask
@@ -229,27 +255,85 @@ class Poly:
                 prod = cache[m] = _mul_terms(prod, images[(m & -m).bit_length() - 1].terms)
             for m2, c2 in prod.items():
                 acc[m2] = acc.get(m2, 0) + coeff * c2
-        return Poly(nv, acc)
+        return Poly._unchecked(nv, _drop_zeros(acc))
 
     def widen(self, nvars: int) -> Poly:
         """Reinterpret in a larger variable set; existing terms are unchanged."""
+        _check_nvars(nvars)
         if nvars < self.nvars:
             raise DimensionError(f"cannot widen from {self.nvars} to {nvars} variables")
-        return Poly(nvars, self.terms)
+        return Poly._unchecked(nvars, dict(self.terms))
+
+
+def _check_nvars(nvars: int) -> None:
+    if isinstance(nvars, bool) or not isinstance(nvars, int):
+        raise TypeError("nvars must be an int")
+    if nvars > NVARS_MAX:
+        raise CapacityError(f"at most {NVARS_MAX} variables supported, got {nvars}")
+
+
+def _drop_zeros(terms: dict[int, int]) -> dict[int, int]:
+    """Delete the zero coefficients of a term map in place and return it."""
+    for m in [m for m, c in terms.items() if not c]:
+        del terms[m]
+    return terms
 
 
 def _mul_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """Term map of the product of two term maps, with no zero coefficients."""
+    """Term map of the product of two term maps, with no zero coefficients.
+
+    From ``VECTOR_PAIRS`` pair products on, the product is summed in int64 by
+    ``_mul_terms_int64`` when sum|a| * sum|b| < 2**62: every coefficient of
+    the product, and every partial sum of its pair products, is bounded by
+    that, so no sum can overflow.  Otherwise a dict loop sums Python ints.
+    """
     if len(a) > len(b):
         a, b = b, a
+    if len(a) * len(b) >= VECTOR_PAIRS and (
+        sum(map(abs, a.values())) * sum(map(abs, b.values())) < 1 << 62
+    ):
+        return _mul_terms_int64(a, b)
     out: dict[int, int] = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = m1 | m2
             out[m] = out.get(m, 0) + c1 * c2
-    for m in [m for m, c in out.items() if not c]:
-        del out[m]
-    return out
+    return _drop_zeros(out)
+
+
+def _mul_terms_int64(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """The product of two term maps by outer OR and outer product in numpy.
+
+    The caller guarantees sum|a| * sum|b| < 2**62.  Rows of a are taken
+    ``CHUNK_PAIRS // len(b)`` at a time, and each chunk's pairs are summed per
+    mask; the chunks' sums are summed per mask once more at the end.
+    """
+    import numpy as np
+
+    def sum_by_mask(masks, coeffs):
+        order = np.argsort(masks)
+        masks, coeffs = masks[order], coeffs[order]
+        starts = np.flatnonzero(np.concatenate(([True], masks[1:] != masks[:-1])))
+        return masks[starts], np.add.reduceat(coeffs, starts)
+
+    a_masks = np.fromiter(a, dtype=np.uint64, count=len(a))
+    a_coeffs = np.fromiter(a.values(), dtype=np.int64, count=len(a))
+    b_masks = np.fromiter(b, dtype=np.uint64, count=len(b))
+    b_coeffs = np.fromiter(b.values(), dtype=np.int64, count=len(b))
+    rows = max(1, CHUNK_PAIRS // len(b))
+    chunks = [
+        sum_by_mask(
+            (a_masks[i:i + rows, None] | b_masks).ravel(),
+            (a_coeffs[i:i + rows, None] * b_coeffs).ravel(),
+        )
+        for i in range(0, len(a), rows)
+    ]
+    if len(chunks) == 1:
+        masks, coeffs = chunks[0]
+    else:
+        masks, coeffs = sum_by_mask(*map(np.concatenate, zip(*chunks)))
+    keep = coeffs != 0
+    return dict(zip(masks[keep].tolist(), coeffs[keep].tolist()))
 
 
 def _point_to_mask(point: int | Sequence[int], nvars: int) -> int:
@@ -333,7 +417,7 @@ def split_blocks(text: str) -> list[list[str]]:
 
 
 def read_nvars(line: str) -> int:
-    """The variable count of an ``nvars=<k>`` header, k in plain ASCII decimal."""
+    """The variable count of an ``nvars=<k>`` header, k <= NVARS_MAX in plain ASCII decimal."""
     if not line.startswith("nvars="):
         raise FormatError(f"expected nvars= header, got {line!r}")
     digits = line[len("nvars="):]
@@ -343,6 +427,8 @@ def read_nvars(line: str) -> int:
         nvars = -1
     if nvars < 0 or str(nvars) != digits:
         raise FormatError(f"bad variable count in {line!r}")
+    if nvars > NVARS_MAX:
+        raise FormatError(f"at most {NVARS_MAX} variables supported, got {nvars}")
     return nvars
 
 
@@ -362,8 +448,9 @@ def poly_from_block(lines: Sequence[str]) -> Poly:
     """Parse one block from ``split_blocks`` in the canonical form of ``poly_to_text``.
 
     Each term line holds a nonzero coefficient written as ``-?[1-9][0-9]*``
-    and strictly ascending indices in 1..NVARS_MAX written as ``[1-9][0-9]*``,
+    and strictly ascending indices in 1..nvars written as ``[1-9][0-9]*``,
     and the terms' masks strictly ascend.  Anything else raises ``FormatError``.
+    Since every term is checked here, the result is built unchecked.
     """
     nvars = read_nvars(lines[0])
     terms: dict[int, int] = {}
@@ -392,7 +479,6 @@ def poly_from_block(lines: Sequence[str]) -> Poly:
             raise FormatError(f"terms out of canonical order at {ln!r}")
         prev = mask
         terms[mask] = coeff
-    try:
-        return Poly(nvars, terms)
-    except ValueError as exc:  # negative nvars, CapacityError, DimensionError
-        raise FormatError(str(exc)) from None
+    if prev >= 1 << nvars:  # the largest mask, since masks ascend
+        raise FormatError(f"a variable index exceeds nvars={nvars}")
+    return Poly._unchecked(nvars, terms)

@@ -1,15 +1,20 @@
 import gc
 import random
+from math import prod
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from cubesign import poly
 from cubesign.automorphisms import sample_indicator
-from cubesign.errors import DimensionError, FormatError
+from cubesign.errors import CapacityError, DimensionError, FormatError
 from cubesign.params import SchemeParams
 from cubesign.poly import (
+    CHUNK_PAIRS,
     NVARS_MAX,
+    VECTOR_PAIRS,
     Poly,
+    _mul_terms,
     indices_of,
     mask_of,
     poly_from_text,
@@ -172,6 +177,136 @@ def test_widen_preserves_terms_and_rejects_narrowing():
         p.widen(1)
 
 
+def loop_product(a, b):
+    """The product of two term maps summed pair by pair, zero sums dropped."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            out[m1 | m2] = out.get(m1 | m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def expand_substitution(p, images):
+    """p with images in place of its variables, one product of Polys per term."""
+    nv = images[0].nvars
+    out = Poly.zero(nv)
+    for mask, c in p.terms.items():
+        out = out + c * prod((images[i - 1] for i in indices_of(mask)), start=Poly.const(1, nv))
+    return out
+
+
+def random_terms(rng, size, nvars, coeffs=(1, -1, 2, -2)):
+    return {rng.getrandbits(nvars): rng.choice(coeffs) for _ in range(size)}
+
+
+def check_product(a, b):
+    got = _mul_terms(a, b)
+    assert got == loop_product(a, b)
+    assert all(type(c) is int and c for c in got.values())
+    return got
+
+
+def test_vector_product_cancels_to_zero_terms():
+    rng = random.Random(3)
+    for _ in range(5):
+        # few variables, so many pairs share a mask and some sums cancel
+        a, b = random_terms(rng, 40, 7), random_terms(rng, 40, 7)
+        assert len(a) * len(b) >= VECTOR_PAIRS
+        got = check_product(a, b)
+        assert len(got) < len({m1 | m2 for m1 in a for m2 in b})
+
+
+def test_vector_product_keeps_bit_63():
+    rng = random.Random(4)
+    a = random_terms(rng, 40, NVARS_MAX)
+    b = random_terms(rng, 40, NVARS_MAX) | {1 << 63: 3, (1 << 64) - 1: -1}
+    got = check_product(a, b)
+    assert any(m >> 63 for m in got)
+    assert max(got) == (1 << 64) - 1
+
+
+def test_vector_product_over_several_chunks():
+    rng = random.Random(5)
+    a, b = random_terms(rng, 400, 12), random_terms(rng, 800, 12)
+    assert len(a) * len(b) > 3 * CHUNK_PAIRS
+    check_product(a, b)
+
+
+def spy_int64_product(monkeypatch):
+    """Record the calls of the int64 product while it keeps working."""
+    calls = []
+    real = poly._mul_terms_int64
+
+    def spy(a, b):
+        calls.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(poly, "_mul_terms_int64", spy)
+    return calls
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_vector_product_sums_up_to_just_below_2_62(monkeypatch, sign):
+    # every pair lands on one mask, whose sum is sum|a| * sum|b| = 2**62 - 2**31
+    calls = spy_int64_product(monkeypatch)
+    a = {m: 1 << 21 for m in range(1 << 10)}
+    b = {(1 << 10) - 1: sign * ((1 << 31) - 1)}
+    assert len(a) * len(b) >= VECTOR_PAIRS
+    assert check_product(a, b) == {(1 << 10) - 1: sign * ((1 << 62) - (1 << 31))}
+    assert calls == [(1, 1 << 10)]
+
+
+@pytest.mark.parametrize("scale", [1 << 21, 1 << 70], ids=["bound-2**62", "coefficient-2**70"])
+def test_large_coefficients_take_the_dict_loop(monkeypatch, scale):
+    calls = spy_int64_product(monkeypatch)
+    a = {m: scale for m in range(1 << 10)}
+    b = {(1 << 10) - 1: 1 << 31}
+    assert len(a) * len(b) >= VECTOR_PAIRS
+    assert sum(a.values()) * sum(b.values()) >= 1 << 62
+    assert check_product(a, b) == {(1 << 10) - 1: scale << 41}
+    assert calls == []
+
+
+def test_substitute_through_vector_products_matches_the_dict_loop(monkeypatch):
+    calls = spy_int64_product(monkeypatch)
+    rng = random.Random(7)
+    n = 12
+    images = [Poly(n, random_terms(rng, 40, n)) for _ in range(n)]
+    p = Poly(n, {rng.getrandbits(n) & rng.getrandbits(n): rng.choice((1, -1)) for _ in range(30)})
+    got = p.substitute(images)
+    assert calls and all(got.terms.values())
+    monkeypatch.setattr(poly, "VECTOR_PAIRS", 1 << 62)
+    assert got == p.substitute(images)
+
+
+def test_substitute_monomial_images_match_the_cache_path():
+    rng = random.Random(8)
+    n = 9
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    images = [Poly.variable(i, n) for i in perm]
+    p = Poly(n, random_terms(rng, 60, n))
+    got = p.substitute(images)
+    assert got == expand_substitution(p, images)
+    assert len(got) == len(p)
+    # wider images of coefficient 1, a constant 1 among them
+    images = [Poly(n + 3, {rng.getrandbits(n + 3): 1}) for _ in range(n - 1)] + [Poly.const(1, n + 3)]
+    got = p.substitute(images)
+    assert got == expand_substitution(p, images)
+    assert all(got.terms.values())
+
+
+def test_substitute_non_injective_monomial_images_cancel():
+    # x1 -> x2, x2 -> x2: x1 - x2 vanishes and x1*x2 lands on x2
+    x1, x2 = v(1, 2), v(2, 2)
+    p = x1 - x2 + 3 * x1 * x2 + 5
+    images = [x2, x2]
+    got = p.substitute(images)
+    assert got.terms == {0: 5, 0b10: 3}
+    assert got == expand_substitution(p, images)
+    assert not (x1 - x2).substitute(images).terms
+
+
 def test_degree_and_support():
     p = v(1) * v(3) + v(2)
     assert p.degree() == 2
@@ -266,6 +401,18 @@ def test_parse_rejects_malformed_blocks():
     ):
         with pytest.raises(FormatError):
             poly_from_text(text)
+
+
+@pytest.mark.parametrize("text", [
+    "nvars=65",                       # too many variables, no terms
+    "nvars=65\n1:1",                  # too many variables
+    "nvars=3\n1:1\n-2:2,4",           # the last term's index above nvars
+    "nvars=0\n1:1",                   # no variables, yet a term with one
+], ids=["nvars-65-empty", "nvars-65", "index-above-nvars", "nvars-0-term"])
+def test_parse_raises_format_error_not_capacity_or_dimension(text):
+    with pytest.raises(FormatError) as info:
+        poly_from_text(text)
+    assert not isinstance(info.value, (CapacityError, DimensionError))
 
 
 def test_split_blocks():

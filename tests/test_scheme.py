@@ -319,14 +319,26 @@ def test_challenge_exact_path_over_two_cube_blocks():
 
 
 def test_challenge_combine_promotes_a_block_with_object_values():
-    # the huge component only meets the zero one, so its products are bounded
-    # by 0 and int64 is exact, yet its own values come back as Python ints
+    # the challenge has no term on the huge component, so int64 is exact for
+    # the combine, yet that component's values come back as Python ints
     nv = 6
     big = Poly(nv, {0b1: 1 << 70, 0b110: -3})
     x = [Poly.variable(i, nv) for i in range(1, nv + 1)]
     components = [Poly.zero(nv), x[1] - x[2], 2 * x[3] + 1, big]
-    challenge = Poly(CHALLENGE_NVARS, {0: -1, 0b0010: 1, 0b0100: 1, 0b1001: 2})
+    challenge = Poly(CHALLENGE_NVARS, {0: -1, 0b0010: 1, 0b0100: 1, 0b0011: 2})
     assert fits_int64(challenge, components)
+    for blocks in (cube_blocks(nv), [np.arange(1 << nv, dtype=np.uint64)]):
+        expected = pointwise_positive(challenge, components, range(1 << nv))
+        assert _challenge_positive(challenge, components, blocks) == expected
+
+
+def test_challenge_combine_bounds_coefficients_on_a_zero_component():
+    # a zero component must not hide the 2**70 coefficient from the int64 check
+    nv = 4
+    x = [Poly.variable(i, nv) for i in range(1, nv + 1)]
+    components = [Poly.zero(nv), x[1] - x[2], x[0] + 1, x[3]]
+    challenge = Poly(CHALLENGE_NVARS, {0b11: 1 << 70, 0b1: 1})
+    assert not fits_int64(challenge, components)
     for blocks in (cube_blocks(nv), [np.arange(1 << nv, dtype=np.uint64)]):
         expected = pointwise_positive(challenge, components, range(1 << nv))
         assert _challenge_positive(challenge, components, blocks) == expected
