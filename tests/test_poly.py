@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from cubesign import poly
 from cubesign.automorphisms import sample_indicator
-from cubesign.errors import CapacityError, DimensionError, FormatError
+from cubesign.errors import DimensionError, FormatError
 from cubesign.params import SchemeParams
 from cubesign.poly import (
     CHUNK_PAIRS,
@@ -279,7 +279,7 @@ def test_substitute_through_vector_products_matches_the_dict_loop(monkeypatch):
     assert got == p.substitute(images)
 
 
-def test_substitute_monomial_images_match_the_cache_path():
+def test_substitute_monomial_images_match_the_term_expansion():
     rng = random.Random(8)
     n = 9
     perm = list(range(1, n + 1))
@@ -398,21 +398,13 @@ def test_parse_rejects_malformed_blocks():
         "nvars=1_0\n1:1",             # underscore in the header
         "nvars=３\n1:1",               # full-width header digit
         "nvars=-0",                   # negative zero header
+        "nvars=65",                   # more than NVARS_MAX variables, no terms
+        "nvars=65\n1:1",              # more than NVARS_MAX variables
+        "nvars=3\n1:1\n-2:2,4",       # the last term's index beyond nvars
+        "nvars=0\n1:1",               # no variables, yet a term with one
     ):
         with pytest.raises(FormatError):
             poly_from_text(text)
-
-
-@pytest.mark.parametrize("text", [
-    "nvars=65",                       # too many variables, no terms
-    "nvars=65\n1:1",                  # too many variables
-    "nvars=3\n1:1\n-2:2,4",           # the last term's index above nvars
-    "nvars=0\n1:1",                   # no variables, yet a term with one
-], ids=["nvars-65-empty", "nvars-65", "index-above-nvars", "nvars-0-term"])
-def test_parse_raises_format_error_not_capacity_or_dimension(text):
-    with pytest.raises(FormatError) as info:
-        poly_from_text(text)
-    assert not isinstance(info.value, (CapacityError, DimensionError))
 
 
 def test_split_blocks():
