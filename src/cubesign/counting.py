@@ -9,12 +9,20 @@ a block costs O(k * 2**k) whatever the term count.
 
 Sample points are drawn in fixed-size chunks, each from a child seed taken
 from the caller's generator, so a run is reproducible for a given seed.
-Callers concatenate the chunks and evaluate a polynomial over all of them
-in one pass.  That pass is bit-sliced: the points are transposed into one
-Python int per variable, a term's covered points are the AND of its
-variables' ints, and coefficients are summed in bit-plane counters, so the
-values are exact at any magnitude.  They come back as int64 when they fit
-in 63 two's-complement bits and as an ``object`` array otherwise.
+Callers concatenate the chunks into a ``PointSet``, which transposes them
+once into one Python int per variable (bit j of column i is variable i at
+point j) and is shared by every polynomial evaluated on those points.
+
+Evaluation on a point set is bit-sliced: a term's covered points are the AND
+of its variables' columns.  The covered sets are summed in bit-plane
+counters by carry-save accumulation (Harley-Seal): each joins a group keyed
+by a signed power of two, and every ``GROUP_ROWS`` rows of a group fold into
+its ones, twos and fours planes through seven carry-save adders, so only the
+weight-8 carry ripples through the counter.  There are at most two groups
+per bit of the largest coefficient, each holding fewer than ``GROUP_ROWS``
+rows, so memory does not grow with the term count.  The values are exact at
+any magnitude.  They come back as int64 when they fit in 63
+two's-complement bits and as an ``object`` array otherwise.
 """
 
 from __future__ import annotations
@@ -27,13 +35,15 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, DimensionError
 from .poly import Poly, indices_of
 
 EXACT_NVARS_LIMIT = 25
 # Points per enumeration block: 2**16 int64 values are 512 KiB.
 CUBE_BLOCK = 1 << 16
 CHUNK_TRIALS = 512
+# Rows one carry-save fold adds into a group's ones, twos and fours planes.
+GROUP_ROWS = 8
 # Value bound under which int64 arithmetic stays exact.
 INT64_SAFE_BOUND = 1 << 62
 
@@ -168,6 +178,24 @@ def _columns(masks: np.ndarray, width: int) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+class PointSet:
+    """Cube points with their bit-sliced columns, transposed once and shared.
+
+    ``columns`` holds ``width`` ints, column i having bit j equal to bit i
+    of ``masks[j]``; it serves every polynomial in at most ``width``
+    variables.  ``len()`` is the number of points.
+    """
+
+    __slots__ = ("masks", "columns")
+
+    def __init__(self, masks: np.ndarray, width: int) -> None:
+        self.masks = masks
+        self.columns = _columns(masks, width)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+
 def _add_at(planes: list[int], covered: int, k: int) -> None:
     """Ripple-carry add covered * 2**k into an unsigned bit-plane counter."""
     while covered:
@@ -176,6 +204,46 @@ def _add_at(planes: list[int], covered: int, k: int) -> None:
             return
         planes[k], covered = planes[k] ^ covered, planes[k] & covered
         k += 1
+
+
+def _fold(planes: list[int], rows: list[int]) -> None:
+    """Add GROUP_ROWS rows into a counter whose first three planes are ones, twos, fours.
+
+    Seven carry-save adders (Harley-Seal) leave only the weight-8 carry to
+    ripple; the rows are consumed.
+    """
+    r0, r1, r2, r3, r4, r5, r6, r7 = rows
+    ones, twos, fours = planes[0], planes[1], planes[2]
+    # A carry-save adder of a, b, c: a ^ b ^ c stays, the majority carries.
+    u = ones ^ r0
+    twos_a, ones = (ones & r0) | (u & r1), u ^ r1
+    u = ones ^ r2
+    twos_b, ones = (ones & r2) | (u & r3), u ^ r3
+    u = twos ^ twos_a
+    fours_a, twos = (twos & twos_a) | (u & twos_b), u ^ twos_b
+    u = ones ^ r4
+    twos_a, ones = (ones & r4) | (u & r5), u ^ r5
+    u = ones ^ r6
+    twos_b, ones = (ones & r6) | (u & r7), u ^ r7
+    u = twos ^ twos_a
+    fours_b, twos = (twos & twos_a) | (u & twos_b), u ^ twos_b
+    u = fours ^ fours_a
+    eights, fours = (fours & fours_a) | (u & fours_b), u ^ fours_b
+    planes[0], planes[1], planes[2] = ones, twos, fours
+    _add_at(planes, eights, 3)
+    rows.clear()
+
+
+def _signed_powers(c: int) -> list[int]:
+    """The signed powers of two summing to c, one per set bit of |c|."""
+    sign = -1 if c < 0 else 1
+    c = abs(c)
+    powers = []
+    while c:
+        low = c & -c
+        powers.append(sign * low)
+        c ^= low
+    return powers
 
 
 def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
@@ -190,35 +258,51 @@ def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
     return weights @ bits.astype(dtype)
 
 
-def evaluate_batch(p: Poly, masks: np.ndarray | range) -> np.ndarray:
-    """Values of p at an array of cube-point masks, or on an aligned subcube.
+def evaluate_batch(p: Poly, points: PointSet | np.ndarray | range) -> np.ndarray:
+    """Values of p at a point set or an array of cube-point masks, or on an aligned subcube.
 
     A range must be an aligned subcube ``range(s, s + 2**k)``, as from
-    ``cube_blocks``; it goes through the zeta transform.
+    ``cube_blocks``; it goes through the zeta transform.  An array of masks
+    is transposed into a ``PointSet`` of p's width first; a ``PointSet``
+    narrower than p raises ``DimensionError``.
 
-    Array input is bit-sliced (Biham, FSE 1997): the points become one
-    Python int per variable, whose bit j is that variable at point j.  A
-    term covers the AND of its variables' columns.  Terms are walked in
-    ascending mask order with the ANDs of their high bits on a stack, so a
-    shared prefix is computed once and at most nvars + 1 ANDs are live.
-    Each covered set is added, once per set bit of |c|, into ripple-carry
-    bit-plane counters for the positive and the negative coefficients.  One
-    bit-sliced subtraction gives two's-complement planes, exact at any
-    magnitude.  The result is int64 when the values need at most 63 planes,
-    sign included, and an ``object`` array of Python ints otherwise.
+    Points are bit-sliced (Biham, FSE 1997): one Python int per variable,
+    whose bit j is that variable at point j.  A term covers the AND of its
+    variables' columns.  Terms are walked in ascending mask order with the
+    ANDs of their high bits on a stack, so a shared prefix is computed once
+    and at most nvars + 1 ANDs are live.
+
+    Each covered set joins the group of its coefficient when |c| is a power
+    of two, and otherwise one group per set bit of |c|.  A group keyed by
+    the signed power of two s counts covered sets in units of |s|: every
+    ``GROUP_ROWS`` of its rows are folded by ``_fold`` into its low three
+    planes, and only the weight-8 carry ripple-adds further.  The groups
+    hold at most 2 * (coefficient bit length) * (GROUP_ROWS - 1) pending
+    rows, whatever the term count.  At the end the leftover rows are added,
+    and each group's planes, shifted by log2 |s|, are added into the
+    positive or the negative counter.  One bit-sliced subtraction gives
+    two's-complement planes, exact at any magnitude.  The result is int64
+    when the values need at most 63 planes, sign included, and an
+    ``object`` array of Python ints otherwise.
     """
-    if isinstance(masks, range):
-        return _subcube_values(p, masks.start, _subcube_width(masks))
-    npoints = len(masks)
-    full = (1 << npoints) - 1
-    order = sorted(p.terms)
-    columns = _columns(masks, order[-1].bit_length()) if order else []
-    positive: list[int] = []
-    negative: list[int] = []
+    if isinstance(points, range):
+        return _subcube_values(p, points.start, _subcube_width(points))
+    if not isinstance(points, PointSet):
+        points = PointSet(points, p.nvars)
+    elif p.nvars > len(points.columns):
+        raise DimensionError(
+            f"a point set of width {len(points.columns)} cannot evaluate"
+            f" a polynomial in {p.nvars} variables"
+        )
+    columns = points.columns
+    terms = p.terms
+    # Signed power of two -> its pending rows, and -> its group's bit planes.
+    pending: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     # stack[d] is the AND of the columns of the d highest set bits of prev.
-    stack = [full]
+    stack = [(1 << len(points)) - 1]
     prev = 0
-    for mask in order:
+    for mask in sorted(terms):
         below = (1 << (prev ^ mask).bit_length()) - 1
         del stack[1 + (mask & ~below).bit_count():]
         covered = stack[-1]
@@ -229,13 +313,31 @@ def evaluate_batch(p: Poly, masks: np.ndarray | range) -> np.ndarray:
             covered &= columns[top]
             stack.append(covered)
         prev = mask
-        c = p.terms[mask]
-        planes = positive if c > 0 else negative
-        c = abs(c)
-        while c:
-            k = (c & -c).bit_length() - 1
-            _add_at(planes, covered, k)
-            c &= c - 1
+        c = terms[mask]
+        rows = pending.get(c)
+        if rows is not None:
+            rows.append(covered)
+            if len(rows) == GROUP_ROWS:
+                _fold(groups[c], rows)
+            continue
+        # A group's first row, or a coefficient with several set bits.
+        for key in _signed_powers(c):
+            rows = pending.get(key)
+            if rows is None:
+                rows = pending[key] = []
+                groups[key] = [0, 0, 0]
+            rows.append(covered)
+            if len(rows) == GROUP_ROWS:
+                _fold(groups[key], rows)
+    positive: list[int] = []
+    negative: list[int] = []
+    for key, group in groups.items():
+        for row in pending[key]:
+            _add_at(group, row, 0)
+        counter = positive if key > 0 else negative
+        shift = abs(key).bit_length() - 1
+        for i, plane in enumerate(group):
+            _add_at(counter, plane, shift + i)
     # positive - negative; the final borrow is the sign plane.
     planes = []
     borrow = 0
@@ -245,7 +347,7 @@ def evaluate_batch(p: Poly, masks: np.ndarray | range) -> np.ndarray:
     planes.append(borrow)
     while len(planes) > 1 and planes[-1] == planes[-2]:
         planes.pop()
-    return _signed_values(planes, npoints)
+    return _signed_values(planes, len(points))
 
 
 def sample_tuple_chunks(nvars: int, n_trials: int, rng: random.Random) -> list[np.ndarray]:

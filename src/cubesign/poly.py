@@ -442,6 +442,8 @@ def poly_from_text(text: str) -> Poly:
 
 # The written form of each variable index, mapped to its bit.
 _INDEX_BITS = {str(i): 1 << (i - 1) for i in range(1, NVARS_MAX + 1)}
+# The written form of each small nonzero coefficient, mapped to its value.
+_SMALL_COEFFS = {str(c): c for c in range(-64, 65) if c}
 
 
 def poly_from_block(lines: Sequence[str]) -> Poly:
@@ -459,12 +461,14 @@ def poly_from_block(lines: Sequence[str]) -> Poly:
         coeff_s, sep, idx_s = ln.partition(":")
         if not sep:
             raise FormatError(f"malformed term line {ln!r}")
-        try:
-            coeff = int(coeff_s)
-        except ValueError:
-            coeff = 0
-        if not coeff or str(coeff) != coeff_s:
-            raise FormatError(f"coefficient is not a nonzero plain decimal in {ln!r}")
+        coeff = _SMALL_COEFFS.get(coeff_s)
+        if coeff is None:
+            try:
+                coeff = int(coeff_s)
+            except ValueError:
+                coeff = 0
+            if not coeff or str(coeff) != coeff_s:
+                raise FormatError(f"coefficient is not a nonzero plain decimal in {ln!r}")
         mask = last = 0
         for tok in idx_s.split(",") if idx_s else ():
             bit = _INDEX_BITS.get(tok, 0)

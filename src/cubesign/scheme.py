@@ -39,7 +39,7 @@ from .automorphisms import (
     sample_indicator,
     sample_sparse,
 )
-from .counting import cube_blocks, evaluate_batch, fits_int64, sample_tuple_chunks
+from .counting import PointSet, cube_blocks, evaluate_batch, fits_int64, sample_tuple_chunks
 from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
 from .poly import Poly, poly_from_block, poly_from_text, poly_to_text, split_blocks
@@ -175,7 +175,7 @@ def _nested_combine(coeffs: list[int], vals: list[np.ndarray]) -> np.ndarray | i
 
 
 def _challenge_positive(
-    challenge: Poly, components: list[Poly], blocks: Sequence[np.ndarray | range]
+    challenge: Poly, components: list[Poly], blocks: Sequence[PointSet | range]
 ) -> int:
     """Count points of the blocks where the challenge of the component values is positive.
 
@@ -236,9 +236,10 @@ def verify_poly(
         ref_points = signed_points = cube_blocks(m)
     else:
         total = params.trials
-        # Independent draws for the two sides.
-        ref_points = [np.concatenate(sample_tuple_chunks(m, total, rng))]
-        signed_points = [np.concatenate(sample_tuple_chunks(m, total, rng))]
+        # Independent draws for the two sides, each transposed once for its
+        # four components.
+        ref_points = [PointSet(np.concatenate(sample_tuple_chunks(m, total, rng)), m)]
+        signed_points = [PointSet(np.concatenate(sample_tuple_chunks(m, total, rng)), m)]
     ref = _challenge_positive(challenge, reference_side, ref_points)
     signed = _challenge_positive(challenge, signed_side, signed_points)
     allowed = math.floor(params.threshold * total)

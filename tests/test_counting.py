@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -10,7 +11,9 @@ from cubesign.counting import (
     CUBE_BLOCK,
     _columns,
     EXACT_NVARS_LIMIT,
+    GROUP_ROWS,
     INT64_SAFE_BOUND,
+    PointSet,
     ValueCounts,
     estimate_positive_proportion,
     evaluate_batch,
@@ -19,7 +22,7 @@ from cubesign.counting import (
     required_trials,
     sample_tuple_chunks,
 )
-from cubesign.errors import CapacityError
+from cubesign.errors import CapacityError, DimensionError
 from cubesign.poly import Poly
 
 from conftest import poly_strategy
@@ -222,22 +225,75 @@ def test_columns_match_a_per_point_transpose(npoints):
         assert _columns(points, width) == expected
 
 
+def _low_degree_masks(nvars):
+    """Masks of degree at most two, in ascending order."""
+    return sorted({0} | {(1 << i) | (1 << j) for i in range(nvars) for j in range(nvars)})
+
+
+def _grouped_poly(nvars, coeffs):
+    """A term of low degree for each coefficient in coeffs."""
+    masks = _low_degree_masks(nvars)
+    return Poly(nvars, dict(zip(masks, coeffs)))
+
+
+ROWS = (0, 1, GROUP_ROWS - 1, GROUP_ROWS, GROUP_ROWS + 1, 2 * GROUP_ROWS + 1)
+BIG = 2**70 + 3
+GROUP_CASES = {
+    # rows rows in the +4 group and rows in the -1 group
+    **{f"{r}-rows": _grouped_poly(12, [4] * r + [-1] * r) for r in ROWS},
+    # coefficients of several set bits join one group per bit, beside
+    # power-of-two coefficients that share those groups
+    "multi-bit": _grouped_poly(12, [3, -5, BIG, 1, -4, 2, 4, -1] * 9),
+    # 17 rows of 2**62 need more than 63 planes
+    "past-63-planes": _grouped_poly(12, [2**62] * 17 + [-(2**62)] * 3),
+    "constant": Poly.const(-(2**80) - 7, 12),
+    "zero": Poly.zero(12),
+}
+
+
+@pytest.mark.parametrize("p", GROUP_CASES.values(), ids=GROUP_CASES.keys())
+def test_evaluate_batch_carry_save_groups_match_pointwise(p):
+    rng = random.Random(len(p.terms))
+    points = np.array([rng.getrandbits(12) for _ in range(300)], dtype=np.uint64)
+    expected = [p.evaluate(int(m)) for m in points.tolist()]
+    in_63_planes = all(-(2**62) <= x < 2**62 for x in expected)
+    for form in (points, PointSet(points, 12), PointSet(points, 20)):
+        values = evaluate_batch(p, form)
+        assert values.tolist() == expected
+        assert values.dtype == (np.int64 if in_63_planes else object)
+
+
+def test_evaluate_batch_rejects_a_narrower_point_set():
+    points = np.zeros(10, dtype=np.uint64)
+    for p in (v(12, 12), Poly.zero(12)):
+        with pytest.raises(DimensionError):
+            evaluate_batch(p, PointSet(points, 11))
+
+
 def test_evaluate_batch_peak_memory_stays_small():
-    # a stack of prefix ANDs; a dict cache of every prefix peaks near 17 MB here
-    rng = random.Random(21)
-    terms = {}
-    while len(terms) < 16000:
-        mask = sum({1 << rng.randrange(32) for _ in range(rng.randint(1, 8))})
-        terms[mask] = rng.choice((-3, -2, -1, 1, 2, 3))
-    p = Poly(32, terms)
+    # a stack of prefix ANDs and fewer than GROUP_ROWS pending rows per
+    # signed power of two; a dict cache of every prefix peaks near 17 MB here
     points = np.concatenate(sample_tuple_chunks(32, 3000, random.Random(22)))
-    tracemalloc.start()
-    try:
-        evaluate_batch(p, points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    for coeff in (
+        lambda rng, j: rng.choice((-3, -2, -1, 1, 2, 3)),
+        lambda rng, j: rng.choice((-1, 1)) * (j + 1),  # no coefficient repeats
+        lambda rng, j: rng.choice((-1, 1)) << rng.randrange(64),
+    ):
+        rng = random.Random(21)
+        terms = {}
+        for j in itertools.count():
+            if len(terms) == 16000:
+                break
+            mask = sum({1 << rng.randrange(32) for _ in range(rng.randint(1, 8))})
+            terms[mask] = coeff(rng, j)
+        p = Poly(32, terms)
+        tracemalloc.start()
+        try:
+            evaluate_batch(p, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 SUBCUBE_POLYS = [

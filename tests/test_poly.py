@@ -346,6 +346,8 @@ def wide_polys(draw):
 @example(Poly.zero(NVARS_MAX))
 @example(Poly.const(-(2**200), 0))
 @example(Poly(NVARS_MAX, {0: 2**200, 1 << 63: -1, (1 << 64) - 1: -(2**200), 0x8000_0000_0100_0001: 2}))
+# both sides of the edge of the parser's table of small coefficients
+@example(Poly(3, {0: 64, 1: -64, 2: 65, 3: -65, 4: 2**200}))
 def test_text_round_trip(p):
     text = poly_to_text(p)
     assert poly_from_text(text) == p
@@ -386,6 +388,10 @@ def test_parse_rejects_malformed_blocks():
         "nvars=3\n-0:1",              # negative zero
         "nvars=12\n1_0:1",            # underscore in a coefficient
         "nvars=3\n１:1",               # full-width coefficient digit
+        "nvars=3\n+64:1",             # plus sign on a coefficient in the small table
+        "nvars=3\n064:1",             # leading zero on a coefficient in the small table
+        "nvars=3\n-064:1",            # the same, negative
+        "nvars=3\n٦٤:1",              # Arabic-Indic digits, which int() reads as 64
         "nvars=3\n1 :1",              # space after the coefficient
         "nvars=3\n1:01",              # index with a leading zero
         "nvars=3\n1:+1",              # index with a plus sign
