@@ -42,7 +42,8 @@ EXACT_NVARS_LIMIT = 25
 # Points per enumeration block: 2**16 int64 values are 512 KiB.
 CUBE_BLOCK = 1 << 16
 CHUNK_TRIALS = 512
-# Rows one carry-save fold adds into a group's ones, twos and fours planes.
+# Rows one carry-save fold adds into a group's ones, twos and fours planes;
+# the adder network in _fold is written for eight.
 GROUP_ROWS = 8
 # Value bound under which int64 arithmetic stays exact.
 INT64_SAFE_BOUND = 1 << 62

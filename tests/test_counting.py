@@ -225,27 +225,21 @@ def test_columns_match_a_per_point_transpose(npoints):
         assert _columns(points, width) == expected
 
 
-def _low_degree_masks(nvars):
-    """Masks of degree at most two, in ascending order."""
-    return sorted({0} | {(1 << i) | (1 << j) for i in range(nvars) for j in range(nvars)})
+def _grouped_poly(coeffs):
+    """One term of degree at most two in 12 variables for each coefficient."""
+    masks = sorted({0} | {(1 << i) | (1 << j) for i in range(12) for j in range(12)})
+    return Poly(12, dict(zip(masks, coeffs)))
 
 
-def _grouped_poly(nvars, coeffs):
-    """A term of low degree for each coefficient in coeffs."""
-    masks = _low_degree_masks(nvars)
-    return Poly(nvars, dict(zip(masks, coeffs)))
-
-
-ROWS = (0, 1, GROUP_ROWS - 1, GROUP_ROWS, GROUP_ROWS + 1, 2 * GROUP_ROWS + 1)
-BIG = 2**70 + 3
 GROUP_CASES = {
-    # rows rows in the +4 group and rows in the -1 group
-    **{f"{r}-rows": _grouped_poly(12, [4] * r + [-1] * r) for r in ROWS},
+    # r rows in the +4 group and r rows in the -1 group
+    **{f"{r}-rows": _grouped_poly([4] * r + [-1] * r)
+       for r in (0, 1, GROUP_ROWS - 1, GROUP_ROWS, GROUP_ROWS + 1, 2 * GROUP_ROWS + 1)},
     # coefficients of several set bits join one group per bit, beside
     # power-of-two coefficients that share those groups
-    "multi-bit": _grouped_poly(12, [3, -5, BIG, 1, -4, 2, 4, -1] * 9),
+    "multi-bit": _grouped_poly([3, -5, 2**70 + 3, 1, -4, 2, 4, -1] * 9),
     # 17 rows of 2**62 need more than 63 planes
-    "past-63-planes": _grouped_poly(12, [2**62] * 17 + [-(2**62)] * 3),
+    "past-63-planes": _grouped_poly([2**62] * 17 + [-(2**62)] * 3),
     "constant": Poly.const(-(2**80) - 7, 12),
     "zero": Poly.zero(12),
 }
