@@ -9,8 +9,9 @@ alternating which runs first, so host drift during the recording reaches
 both sides alike.  It stores under ``parent`` and ``change`` in ``FILE`` the
 result objects with each run's probe time ``calibration_ms``, the per-metric
 medians across the seeds, the absent traced names, the checkout's git
-revision, the seeds and nproc.  One traced run per side is too noisy to
-decide a per-layer claim; the median over several seeds is steadier.
+revision and ``src/cubesign`` line count ``src_lines``, the seeds and nproc.
+One traced run per side is too noisy to decide a per-layer claim; the median
+over several seeds is steadier.
 
 Traced times are wall times of one run, so they move with the host's speed.
 ``median_probe_scaled`` holds the medians of the time metrics (unit ``s/op``
@@ -76,6 +77,11 @@ def git_revision(checkout: Path) -> str:
     return rev + "+dirty" if git("status", "--porcelain", "--untracked-files=no") else rev
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the checkout's ``src/cubesign/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "cubesign").glob("*.py"))
+
+
 def medians(results: list[dict]) -> dict[str, dict]:
     """Per-metric median value over result objects, keeping each metric's unit."""
     out = {}
@@ -128,6 +134,7 @@ def record_traces(checkout: Path, parent: Path, out: Path) -> dict:
             })
     return merge(out, {side: {
         "git_revision": git_revision(dirs[side]),
+        "src_lines": src_lines(dirs[side]),
         "seeds": list(TRACE_SEEDS),
         "nproc": os.cpu_count(),
         "ref_probe_ms": ref_ms,

@@ -87,7 +87,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"trials={report.trials}")
     print(f"reference_positive={report.reference_proportion:.4f}")
     print(f"signed_positive={report.signed_proportion:.4f}")
+    print(f"reference_count={report.reference_positive}")
+    print(f"signed_count={report.signed_positive}")
     print(f"difference={report.proportion_gap:.4f}")
+    print(f"allowed_gap={report.allowed_gap}")
     print(f"threshold={params.threshold}")
     print(f"decision={'accept' if report.accepted else 'reject'}")
     return 0 if report.accepted else 1

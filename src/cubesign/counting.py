@@ -9,20 +9,10 @@ a block costs O(k * 2**k) whatever the term count.
 
 Sample points are drawn in fixed-size chunks, each from a child seed taken
 from the caller's generator, so a run is reproducible for a given seed.
-Callers concatenate the chunks into a ``PointSet``, which transposes them
-once into one Python int per variable (bit j of column i is variable i at
-point j) and is shared by every polynomial evaluated on those points.
-
-Evaluation on a point set is bit-sliced: a term's covered points are the AND
-of its variables' columns.  The covered sets are summed in bit-plane
-counters by carry-save accumulation (Harley-Seal): each joins a group keyed
-by a signed power of two, and every ``GROUP_ROWS`` rows of a group fold into
-its ones, twos and fours planes through seven carry-save adders, so only the
-weight-8 carry ripples through the counter.  There are at most two groups
-per bit of the largest coefficient, each holding fewer than ``GROUP_ROWS``
-rows, so memory does not grow with the term count.  The values are exact at
-any magnitude.  They come back as int64 when they fit in 63
-two's-complement bits and as an ``object`` array otherwise.
+``sample_points`` concatenates the chunks into a ``PointSet``, which
+transposes them once into one Python int per variable and is shared by
+every polynomial evaluated on those points; ``evaluate_batch`` describes
+the bit-sliced kernel that counts on it.
 """
 
 from __future__ import annotations
@@ -187,14 +177,14 @@ class PointSet:
     variables.  ``len()`` is the number of points.
     """
 
-    __slots__ = ("masks", "columns")
+    __slots__ = ("size", "columns")
 
     def __init__(self, masks: np.ndarray, width: int) -> None:
-        self.masks = masks
+        self.size = len(masks)
         self.columns = _columns(masks, width)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self.size
 
 
 def _add_at(planes: list[int], covered: int, k: int) -> None:
@@ -259,13 +249,12 @@ def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
     return weights @ bits.astype(dtype)
 
 
-def evaluate_batch(p: Poly, points: PointSet | np.ndarray | range) -> np.ndarray:
-    """Values of p at a point set or an array of cube-point masks, or on an aligned subcube.
+def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
+    """Values of p at a point set, or on an aligned subcube.
 
     A range must be an aligned subcube ``range(s, s + 2**k)``, as from
-    ``cube_blocks``; it goes through the zeta transform.  An array of masks
-    is transposed into a ``PointSet`` of p's width first; a ``PointSet``
-    narrower than p raises ``DimensionError``.
+    ``cube_blocks``; it goes through the zeta transform.  A ``PointSet``
+    narrower than p raises ``DimensionError``; any other input ``TypeError``.
 
     Points are bit-sliced (Biham, FSE 1997): one Python int per variable,
     whose bit j is that variable at point j.  A term covers the AND of its
@@ -289,8 +278,8 @@ def evaluate_batch(p: Poly, points: PointSet | np.ndarray | range) -> np.ndarray
     if isinstance(points, range):
         return _subcube_values(p, points.start, _subcube_width(points))
     if not isinstance(points, PointSet):
-        points = PointSet(points, p.nvars)
-    elif p.nvars > len(points.columns):
+        raise TypeError(f"points must be a PointSet or a range, not {type(points).__name__}")
+    if p.nvars > len(points.columns):
         raise DimensionError(
             f"a point set of width {len(points.columns)} cannot evaluate"
             f" a polynomial in {p.nvars} variables"
@@ -361,12 +350,14 @@ def sample_tuple_chunks(nvars: int, n_trials: int, rng: random.Random) -> list[n
     chunks = []
     for size in sizes:
         child = random.Random(rng.getrandbits(64))
-        if nvars:
-            it = (child.getrandbits(nvars) for _ in range(size))
-            chunks.append(np.fromiter(it, dtype=np.uint64, count=size))
-        else:
-            chunks.append(np.zeros(size, dtype=np.uint64))
+        it = (child.getrandbits(nvars) for _ in range(size))
+        chunks.append(np.fromiter(it, dtype=np.uint64, count=size))
     return chunks
+
+
+def sample_points(nvars: int, n_trials: int, rng: random.Random) -> PointSet:
+    """The chunks of ``sample_tuple_chunks`` in draw order, transposed once at width nvars."""
+    return PointSet(np.concatenate(sample_tuple_chunks(nvars, n_trials, rng)), nvars)
 
 
 def estimate_positive_proportion(
@@ -377,5 +368,5 @@ def estimate_positive_proportion(
     """Monte-Carlo estimate of the proportion of cube points where p > 0."""
     if rng is None:
         rng = random.SystemRandom()
-    points = np.concatenate(sample_tuple_chunks(p.nvars, n_trials, rng))
-    return int((evaluate_batch(p, points) > 0).sum()) / n_trials
+    values = evaluate_batch(p, sample_points(p.nvars, n_trials, rng))
+    return int((values > 0).sum()) / n_trials

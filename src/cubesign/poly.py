@@ -206,12 +206,15 @@ class Poly:
 
     # --- evaluation and substitution ---
 
-    def evaluate(self, point: int | Sequence[int]) -> int:
-        """Value at a Boolean cube point (mask or 0/1 sequence of width nvars)."""
-        mask = _point_to_mask(point, self.nvars)
+    def evaluate(self, point: int) -> int:
+        """Value at a Boolean cube point, given as an nvars-bit mask."""
+        if isinstance(point, bool) or not isinstance(point, int):
+            raise TypeError(f"a cube point is an int mask, not {type(point).__name__}")
+        if not 0 <= point < (1 << self.nvars):
+            raise DimensionError(f"point {point} is not a {self.nvars}-bit mask")
         total = 0
         for m, c in self.terms.items():
-            if m & mask == m:
+            if m & point == m:
                 total += c
         return total
 
@@ -334,25 +337,6 @@ def _mul_terms_int64(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, in
         masks, coeffs = sum_by_mask(*map(np.concatenate, zip(*chunks)))
     keep = coeffs != 0
     return dict(zip(masks[keep].tolist(), coeffs[keep].tolist()))
-
-
-def _point_to_mask(point: int | Sequence[int], nvars: int) -> int:
-    if isinstance(point, bool):
-        raise TypeError("cube points must be int masks or 0/1 sequences")
-    if isinstance(point, int):
-        if not 0 <= point < (1 << nvars):
-            raise DimensionError(f"point {point} is not a {nvars}-bit mask")
-        return point
-    bits = list(point)
-    if len(bits) != nvars:
-        raise DimensionError(f"point has width {len(bits)}, expected {nvars}")
-    mask = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"cube point entries must be 0 or 1, got {b!r}")
-        if b:
-            mask |= 1 << i
-    return mask
 
 
 # --- canonical text form ---

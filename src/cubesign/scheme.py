@@ -39,7 +39,7 @@ from .automorphisms import (
     sample_indicator,
     sample_sparse,
 )
-from .counting import PointSet, cube_blocks, evaluate_batch, fits_int64, sample_tuple_chunks
+from .counting import PointSet, cube_blocks, evaluate_batch, fits_int64, sample_points
 from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
 from .poly import Poly, poly_from_block, poly_from_text, poly_to_text, split_blocks
@@ -179,8 +179,10 @@ def _challenge_positive(
 ) -> int:
     """Count points of the blocks where the challenge of the component values is positive.
 
-    Whether int64 combines the values exactly is checked once for all blocks;
-    a component with ``object`` values makes its whole block ``object``.
+    Whether int64 combines the values exactly is checked once for all blocks.
+    When it does, every component the challenge reads has a cube bound below
+    2**62, so its values come back as int64; the combine never reads the
+    others.
     """
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
@@ -189,7 +191,7 @@ def _challenge_positive(
     count = 0
     for points in blocks:
         vals = [evaluate_batch(p, points) for p in components]
-        if not exact or any(v.dtype == object for v in vals):
+        if not exact:
             vals = [v.astype(object) for v in vals]
         positive = _nested_combine(coeffs, vals) > 0
         count += int(np.count_nonzero(np.broadcast_to(positive, len(points))))
@@ -228,20 +230,15 @@ def verify_poly(
         if p.nvars != params.n:
             raise DimensionError("public key polynomials disagree with the parameter set")
     challenge = sample_challenge(rng)
-    # Only terms are read, so the n-variable public polynomials need no widening.
-    reference_side = [*pub.base, message_poly]
-    signed_side = [*pub.mapped, sig.poly]
-    if exhaustive:
-        total = 1 << m
-        ref_points = signed_points = cube_blocks(m)
-    else:
-        total = params.trials
-        # Independent draws for the two sides, each transposed once for its
-        # four components.
-        ref_points = [PointSet(np.concatenate(sample_tuple_chunks(m, total, rng)), m)]
-        signed_points = [PointSet(np.concatenate(sample_tuple_chunks(m, total, rng)), m)]
-    ref = _challenge_positive(challenge, reference_side, ref_points)
-    signed = _challenge_positive(challenge, signed_side, signed_points)
+    total = 1 << m if exhaustive else params.trials
+    # The reference side, then the signed side, each on its own sample points
+    # shared by its four components.  Only terms are read, so the n-variable
+    # public polynomials need no widening.
+    counts = []
+    for components in ([*pub.base, message_poly], [*pub.mapped, sig.poly]):
+        blocks = cube_blocks(m) if exhaustive else [sample_points(m, total, rng)]
+        counts.append(_challenge_positive(challenge, components, blocks))
+    ref, signed = counts
     allowed = math.floor(params.threshold * total)
     return VerifyReport(
         accepted=abs(ref - signed) <= allowed,

@@ -1,4 +1,5 @@
 import io
+import random
 import subprocess
 import sys
 import types
@@ -6,6 +7,7 @@ import types
 import pytest
 
 from cubesign.cli import main
+from cubesign.scheme import public_key_from_text, signature_from_text, verify
 
 MESSAGE = b"cli round trip message\n"
 TAMPERED = b"cli round trip message?\n"
@@ -65,6 +67,22 @@ def test_verify_flag_overrides(workspace, capsys):
     assert rc == 0
     assert "trials=500" in out
     assert "threshold=0.5" in out
+
+
+@pytest.mark.parametrize("message, seed", [("msg.txt", 0), ("other.txt", 4)])
+def test_verify_prints_the_report_counts(workspace, capsys, message, seed):
+    rc = main([
+        "verify", "--pub", str(workspace / "k.pub"), "--sig", str(workspace / "msg.txt.sig"),
+        "--seed", str(seed), str(workspace / message),
+    ])
+    fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    pub = public_key_from_text((workspace / "k.pub").read_text())
+    sig = signature_from_text((workspace / "msg.txt.sig").read_text())
+    report = verify(pub, (workspace / message).read_bytes(), sig, pub.params, random.Random(seed))
+    assert rc == (0 if report.accepted else 1)
+    assert int(fields["reference_count"]) == report.reference_positive
+    assert int(fields["signed_count"]) == report.signed_positive
+    assert int(fields["allowed_gap"]) == report.allowed_gap == 90
 
 
 def test_sign_from_stdin_needs_output_path(workspace, monkeypatch, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cubesign.counting import (
+    CHUNK_TRIALS,
     CUBE_BLOCK,
     _columns,
     EXACT_NVARS_LIMIT,
@@ -20,6 +21,7 @@ from cubesign.counting import (
     exact_value_counts,
     fits_int64,
     required_trials,
+    sample_points,
     sample_tuple_chunks,
 )
 from cubesign.errors import CapacityError, DimensionError
@@ -151,7 +153,7 @@ def test_evaluate_batch_matches_pointwise():
     p = 3 * v(1, 8) * v(2, 8) - v(3, 8) + 1
     chunks = sample_tuple_chunks(8, 512, random.Random(7))
     for chunk in chunks:
-        values = evaluate_batch(p, chunk)
+        values = evaluate_batch(p, PointSet(chunk, 8))
         for mask, value in zip(chunk.tolist(), values.tolist()):
             assert value == p.evaluate(int(mask))
 
@@ -164,7 +166,7 @@ def test_evaluate_batch_exact_fallback_for_huge_coefficients():
     for p in (big * v(1, 4) - (big - 1) * v(2, 4), Poly(12, terms)):
         assert not fits_int64(p)
         points = np.concatenate(sample_tuple_chunks(p.nvars, 700, random.Random(3)))
-        values = evaluate_batch(p, points)
+        values = evaluate_batch(p, PointSet(points, p.nvars))
         assert values.tolist() == [p.evaluate(int(m)) for m in points.tolist()]
 
 
@@ -208,7 +210,7 @@ def test_evaluate_batch_matches_pointwise_property(case):
     p, npoints, seed = case
     rng = random.Random(seed)
     points = np.array([rng.getrandbits(p.nvars) for _ in range(npoints)], dtype=np.uint64)
-    values = evaluate_batch(p, points)
+    values = evaluate_batch(p, PointSet(points, p.nvars))
     assert values.tolist() == [p.evaluate(int(m)) for m in points.tolist()]
     # int64 exactly when every value fits in 63 two's-complement planes
     in_63_planes = all(-(2**62) <= x < 2**62 for x in values.tolist())
@@ -251,10 +253,30 @@ def test_evaluate_batch_carry_save_groups_match_pointwise(p):
     points = np.array([rng.getrandbits(12) for _ in range(300)], dtype=np.uint64)
     expected = [p.evaluate(int(m)) for m in points.tolist()]
     in_63_planes = all(-(2**62) <= x < 2**62 for x in expected)
-    for form in (points, PointSet(points, 12), PointSet(points, 20)):
-        values = evaluate_batch(p, form)
+    for width in (12, 20):
+        values = evaluate_batch(p, PointSet(points, width))
         assert values.tolist() == expected
         assert values.dtype == (np.int64 if in_63_planes else object)
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 31, 32, 64])
+def test_sample_points_transpose_the_chunks_in_draw_order(nvars):
+    # 1100 points: two full chunks and a partial one
+    assert 1100 % CHUNK_TRIALS
+    masks = np.concatenate(sample_tuple_chunks(nvars, 1100, random.Random(9))).tolist()
+    points = sample_points(nvars, 1100, random.Random(9))
+    assert len(points) == 1100
+    assert points.columns == [
+        sum(((m >> i) & 1) << j for j, m in enumerate(masks)) for i in range(nvars)
+    ]
+
+
+def test_evaluate_batch_takes_only_a_point_set_or_a_range():
+    p = 3 * v(1, 8) - v(2, 8)
+    masks = np.arange(16, dtype=np.uint64)
+    for points in (masks, masks.tolist()):
+        with pytest.raises(TypeError):
+            evaluate_batch(p, points)
 
 
 def test_evaluate_batch_rejects_a_narrower_point_set():
@@ -267,7 +289,7 @@ def test_evaluate_batch_rejects_a_narrower_point_set():
 def test_evaluate_batch_peak_memory_stays_small():
     # a stack of prefix ANDs and fewer than GROUP_ROWS pending rows per
     # signed power of two; a dict cache of every prefix peaks near 17 MB here
-    points = np.concatenate(sample_tuple_chunks(32, 3000, random.Random(22)))
+    masks = np.concatenate(sample_tuple_chunks(32, 3000, random.Random(22)))
     for coeff in (
         lambda rng, j: rng.choice((-3, -2, -1, 1, 2, 3)),
         lambda rng, j: rng.choice((-1, 1)) * (j + 1),  # no coefficient repeats
@@ -283,7 +305,7 @@ def test_evaluate_batch_peak_memory_stays_small():
         p = Poly(32, terms)
         tracemalloc.start()
         try:
-            evaluate_batch(p, points)
+            evaluate_batch(p, PointSet(masks, 32))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

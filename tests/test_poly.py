@@ -97,21 +97,24 @@ def test_int_operands_coerce():
 
 def test_evaluate_direct_cases():
     p = v(1, 3) * v(2, 3) - v(3, 3)
-    assert p.evaluate((1, 1, 0)) == 1
-    assert p.evaluate((0, 0, 1)) == -1
-    assert Poly.zero(3).evaluate((1, 0, 1)) == 0
+    assert p.evaluate(0b011) == 1
+    assert p.evaluate(0b100) == -1
+    assert Poly.zero(3).evaluate(0b101) == 0
     q = 2 * v(1, 2) * v(2, 2) - 1
-    assert q.evaluate((1, 0)) == -1
+    assert q.evaluate(0b01) == -1
 
 
-def test_evaluate_accepts_mask_and_sequence():
+def test_evaluate_takes_a_mask_not_a_sequence():
     p = v(1, 3) * v(2, 3) - v(3, 3)
-    assert p.evaluate(0b011) == p.evaluate((1, 1, 0)) == 1
+    assert p.evaluate(0b011) == 1
+    for point in ((1, 0), (1, 1, 0), [1, 1, 0], True, 3.0):
+        with pytest.raises(TypeError):
+            p.evaluate(point)
 
 
 def test_evaluate_width_mismatch():
     with pytest.raises(DimensionError):
-        v(1, 2).evaluate((1, 0, 1))
+        v(1, 2).evaluate(-1)
     with pytest.raises(DimensionError):
         v(1, 2).evaluate(0b100)
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubesign.automorphisms import extend_for_signing, sample_automorphism, sample_indicator
-from cubesign.counting import cube_blocks, exact_value_counts, fits_int64, sample_tuple_chunks
+from cubesign.counting import (
+    PointSet,
+    cube_blocks,
+    evaluate_batch,
+    exact_value_counts,
+    fits_int64,
+    sample_tuple_chunks,
+)
 from cubesign.errors import DimensionError, FormatError
 from cubesign.params import SchemeParams
 from cubesign.poly import Poly, mask_of, split_blocks
@@ -256,7 +263,7 @@ def test_challenge_exact_path_matches_pointwise_recount():
     combined = combine(challenge, components)
     expected = sum(combined.evaluate(point) > 0 for point in range(1 << nv))
     assert 0 < expected < 1 << nv
-    points = np.arange(1 << nv, dtype=np.uint64)
+    points = PointSet(np.arange(1 << nv, dtype=np.uint64), nv)
     assert _challenge_positive(challenge, components, [points]) == expected
 
 
@@ -287,7 +294,8 @@ def test_challenge_combine_matches_pointwise_recount(terms, magnitude):
     challenge = Poly(CHALLENGE_NVARS, terms)
     assert fits_int64(challenge, components) == (magnitude == 4)
     samples = np.array([rng.getrandbits(nv) for _ in range(300)], dtype=np.uint64)
-    for blocks, points in (([samples], samples.tolist()), (cube_blocks(nv), range(1 << nv))):
+    for blocks, points in (([PointSet(samples, nv)], samples.tolist()),
+                           (cube_blocks(nv), range(1 << nv))):
         expected = pointwise_positive(challenge, components, points)
         assert _challenge_positive(challenge, components, blocks) == expected
     if set(terms) == {0}:
@@ -318,16 +326,17 @@ def test_challenge_exact_path_over_two_cube_blocks():
     assert _challenge_positive(challenge, components, blocks) == expected
 
 
-def test_challenge_combine_promotes_a_block_with_object_values():
+def test_challenge_combine_never_reads_a_component_the_challenge_does_not_use():
     # the challenge has no term on the huge component, so int64 is exact for
-    # the combine, yet that component's values come back as Python ints
+    # the combine, though that component's values come back as Python ints
     nv = 6
     big = Poly(nv, {0b1: 1 << 70, 0b110: -3})
     x = [Poly.variable(i, nv) for i in range(1, nv + 1)]
     components = [Poly.zero(nv), x[1] - x[2], 2 * x[3] + 1, big]
     challenge = Poly(CHALLENGE_NVARS, {0: -1, 0b0010: 1, 0b0100: 1, 0b0011: 2})
     assert fits_int64(challenge, components)
-    for blocks in (cube_blocks(nv), [np.arange(1 << nv, dtype=np.uint64)]):
+    for blocks in (cube_blocks(nv), [PointSet(np.arange(1 << nv, dtype=np.uint64), nv)]):
+        assert evaluate_batch(big, blocks[0]).dtype == object
         expected = pointwise_positive(challenge, components, range(1 << nv))
         assert _challenge_positive(challenge, components, blocks) == expected
 
@@ -339,7 +348,7 @@ def test_challenge_combine_bounds_coefficients_on_a_zero_component():
     components = [Poly.zero(nv), x[1] - x[2], x[0] + 1, x[3]]
     challenge = Poly(CHALLENGE_NVARS, {0b11: 1 << 70, 0b1: 1})
     assert not fits_int64(challenge, components)
-    for blocks in (cube_blocks(nv), [np.arange(1 << nv, dtype=np.uint64)]):
+    for blocks in (cube_blocks(nv), [PointSet(np.arange(1 << nv, dtype=np.uint64), nv)]):
         expected = pointwise_positive(challenge, components, range(1 << nv))
         assert _challenge_positive(challenge, components, blocks) == expected
 
@@ -353,7 +362,7 @@ def test_unwidened_components_count_like_their_widened_copies(exhaustive):
     q = synth_q(m, rng)
     sig = sign_poly(priv, params, q, rng)
     points = np.concatenate(sample_tuple_chunks(m, params.trials, random.Random(5)))
-    blocks = cube_blocks(m) if exhaustive else [points]
+    blocks = cube_blocks(m) if exhaustive else [PointSet(points, m)]
     for seed in range(4):
         challenge = sample_challenge(random.Random(seed))
         for components in ([*pub.base, q], [*pub.mapped, sig.poly]):

@@ -87,6 +87,13 @@ def test_bench_record_interleaves_traced_runs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "run_perfbench", fake_run)
     monkeypatch.setattr(bench, "git_revision", lambda checkout: checkout.name)
+    # src_lines counts the lines of src/cubesign/*.py only
+    for side, lines in (("parent", 3), ("change", 2)):
+        src = tmp_path / side / "src" / "cubesign"
+        src.mkdir(parents=True)
+        (src / "a.py").write_text("x = 1\n" * (lines - 1))
+        (src / "b.py").write_text("y = 2\n")
+        (src / "notes.txt").write_text("not counted\n")
     out = tmp_path / "BENCH.json"
     assert bench.main(["--checkout", str(tmp_path / "change"), "--parent", str(tmp_path / "parent"),
                        "--out", str(out)]) == 0
@@ -97,8 +104,9 @@ def test_bench_record_interleaves_traced_runs(tmp_path, monkeypatch):
         expected += [(side, workload, seed) for side in sides]
     assert calls == expected
     data = json.loads(out.read_text())
-    for side, base in (("parent", 1.0), ("change", 2.0)):
+    for side, base, lines in (("parent", 1.0, 3), ("change", 2.0, 2)):
         assert data[side]["git_revision"] == side
+        assert data[side]["src_lines"] == lines
         trace = data[side]["trace"]["exhaustive"]
         assert [run["seed"] for run in trace["runs"]] == list(bench.TRACE_SEEDS)
         assert trace["median"]["counting.evaluate_s"]["value"] == base + 52
