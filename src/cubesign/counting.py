@@ -7,12 +7,11 @@ up to ``EXACT_NVARS_LIMIT`` variables, in aligned subcube blocks of at most
 transform of the polynomial's coefficients: k passes over 2**k entries, so
 a block costs O(k * 2**k) whatever the term count.
 
-Sample points are drawn in fixed-size chunks, each from a child seed taken
-from the caller's generator, so a run is reproducible for a given seed.
-``sample_points`` concatenates the chunks into a ``PointSet``, which
-transposes them once into one Python int per variable and is shared by
-every polynomial evaluated on those points; ``evaluate_batch`` describes
-the bit-sliced kernel that counts on it.
+Sample points are drawn as bit-sliced columns, one ``getrandbits`` per
+variable from the caller's generator, so a seed fixes the run.
+``sample_points`` wraps them in a ``PointSet``, shared by every polynomial
+evaluated on those points; ``evaluate_batch`` describes the bit-sliced
+kernel that counts on it.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .poly import Poly, indices_of
 EXACT_NVARS_LIMIT = 25
 # Points per enumeration block: 2**16 int64 values are 512 KiB.
 CUBE_BLOCK = 1 << 16
-CHUNK_TRIALS = 512
 # Rows one carry-save fold adds into a group's ones, twos and fours planes;
 # the adder network in _fold is written for eight.
 GROUP_ROWS = 8
@@ -159,29 +157,19 @@ def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
     return values.astype(dtype, copy=False)
 
 
-def _columns(masks: np.ndarray, width: int) -> list[int]:
-    """Bit-sliced points: column i is an int whose bit j is bit i of masks[j]."""
-    # Bit i is byte i // 8 shifted right by i % 8, so every intermediate is uint8.
-    octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8).T
-    bit = np.arange(width, dtype=np.uint8)
-    bits = (octets[bit >> 3] >> (bit & 7)[:, None]) & 1
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 class PointSet:
-    """Cube points with their bit-sliced columns, transposed once and shared.
+    """Cube points as bit-sliced columns, shared by every polynomial evaluated on them.
 
-    ``columns`` holds ``width`` ints, column i having bit j equal to bit i
-    of ``masks[j]``; it serves every polynomial in at most ``width``
-    variables.  ``len()`` is the number of points.
+    ``columns[i]`` is an int whose bit j is x_{i+1} at point j; the set
+    serves every polynomial in at most ``len(columns)`` variables.  ``len()``
+    is the number of points, ``size``.
     """
 
     __slots__ = ("size", "columns")
 
-    def __init__(self, masks: np.ndarray, width: int) -> None:
-        self.size = len(masks)
-        self.columns = _columns(masks, width)
+    def __init__(self, size: int, columns: list[int]) -> None:
+        self.size = size
+        self.columns = columns
 
     def __len__(self) -> int:
         return self.size
@@ -340,24 +328,20 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     return _signed_values(planes, len(points))
 
 
-def sample_tuple_chunks(nvars: int, n_trials: int, rng: random.Random) -> list[np.ndarray]:
-    """Uniform cube points in fixed-size chunks, each from a derived child seed."""
+def sample_tuple_chunks(nvars: int, n_trials: int, rng: random.Random) -> list[int]:
+    """Columns of n_trials uniform cube points: column i is x_{i+1}, drawn in variable order.
+
+    Every bit is an independent uniform draw.  The name is older than the
+    column form; benchmark traces time sampling under it.
+    """
     if n_trials < 1:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
-    sizes = [CHUNK_TRIALS] * (n_trials // CHUNK_TRIALS)
-    if n_trials % CHUNK_TRIALS:
-        sizes.append(n_trials % CHUNK_TRIALS)
-    chunks = []
-    for size in sizes:
-        child = random.Random(rng.getrandbits(64))
-        it = (child.getrandbits(nvars) for _ in range(size))
-        chunks.append(np.fromiter(it, dtype=np.uint64, count=size))
-    return chunks
+    return [rng.getrandbits(n_trials) for _ in range(nvars)]
 
 
 def sample_points(nvars: int, n_trials: int, rng: random.Random) -> PointSet:
-    """The chunks of ``sample_tuple_chunks`` in draw order, transposed once at width nvars."""
-    return PointSet(np.concatenate(sample_tuple_chunks(nvars, n_trials, rng)), nvars)
+    """n_trials uniform cube points in nvars variables, from ``sample_tuple_chunks``."""
+    return PointSet(n_trials, sample_tuple_chunks(nvars, n_trials, rng))
 
 
 def estimate_positive_proportion(

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from cubesign.counting import PointSet
 from cubesign.poly import Poly
 
 settings.register_profile(
@@ -20,6 +21,13 @@ def poly_strategy(nvars, max_terms=6, max_coeff=4):
     return st.dictionaries(mask, coeff, max_size=max_terms).map(
         lambda terms: Poly(nvars, terms)
     )
+
+
+def point_set(masks, width):
+    """A PointSet of the given int masks, transposed point by point in Python."""
+    masks = [int(m) for m in masks]
+    columns = [sum(((m >> i) & 1) << j for j, m in enumerate(masks)) for i in range(width)]
+    return PointSet(len(masks), columns)
 
 
 @pytest.fixture

@@ -8,13 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cubesign.counting import (
-    CHUNK_TRIALS,
     CUBE_BLOCK,
-    _columns,
     EXACT_NVARS_LIMIT,
     GROUP_ROWS,
     INT64_SAFE_BOUND,
-    PointSet,
     ValueCounts,
     estimate_positive_proportion,
     evaluate_batch,
@@ -27,7 +24,7 @@ from cubesign.counting import (
 from cubesign.errors import CapacityError, DimensionError
 from cubesign.poly import Poly
 
-from conftest import poly_strategy
+from conftest import point_set, poly_strategy
 
 
 def v(i, n):
@@ -108,7 +105,7 @@ def test_estimator_constant_polynomials():
 
 
 def test_estimator_seeded_golden():
-    assert estimate_positive_proportion(v(1, 8), 3000, random.Random(5)) == 1509 / 3000
+    assert estimate_positive_proportion(v(1, 8), 3000, random.Random(5)) == 1504 / 3000
 
 
 def test_estimator_close_to_symmetric_truth():
@@ -136,26 +133,25 @@ def test_estimator_matches_exact_on_sparse_samples():
     assert bad == 0
 
 
-def test_estimator_handles_non_chunk_multiple():
+def test_estimator_handles_a_trial_count_off_a_byte_boundary():
     positive = estimate_positive_proportion(v(1, 6), 700, random.Random(2)) * 700
     assert positive == pytest.approx(round(positive))
     assert 0 < positive < 700
 
 
 def test_sample_tuple_chunks_are_seed_deterministic():
-    a = [c.tolist() for c in sample_tuple_chunks(10, 1100, random.Random(4))]
-    b = [c.tolist() for c in sample_tuple_chunks(10, 1100, random.Random(4))]
-    assert a == b
-    assert sum(len(c) for c in sample_tuple_chunks(10, 1100, random.Random(4))) == 1100
+    a = sample_tuple_chunks(10, 1100, random.Random(4))
+    assert a == sample_tuple_chunks(10, 1100, random.Random(4))
+    assert len(a) == 10
+    assert all(0 <= column < 1 << 1100 for column in a)
 
 
 def test_evaluate_batch_matches_pointwise():
     p = 3 * v(1, 8) * v(2, 8) - v(3, 8) + 1
-    chunks = sample_tuple_chunks(8, 512, random.Random(7))
-    for chunk in chunks:
-        values = evaluate_batch(p, PointSet(chunk, 8))
-        for mask, value in zip(chunk.tolist(), values.tolist()):
-            assert value == p.evaluate(int(mask))
+    rng = random.Random(7)
+    masks = [rng.getrandbits(8) for _ in range(512)]
+    values = evaluate_batch(p, point_set(masks, 8))
+    assert values.tolist() == [p.evaluate(mask) for mask in masks]
 
 
 def test_evaluate_batch_exact_fallback_for_huge_coefficients():
@@ -165,9 +161,10 @@ def test_evaluate_batch_exact_fallback_for_huge_coefficients():
     terms[0b101] = big
     for p in (big * v(1, 4) - (big - 1) * v(2, 4), Poly(12, terms)):
         assert not fits_int64(p)
-        points = np.concatenate(sample_tuple_chunks(p.nvars, 700, random.Random(3)))
-        values = evaluate_batch(p, PointSet(points, p.nvars))
-        assert values.tolist() == [p.evaluate(int(m)) for m in points.tolist()]
+        rng = random.Random(3)
+        masks = [rng.getrandbits(p.nvars) for _ in range(700)]
+        values = evaluate_batch(p, point_set(masks, p.nvars))
+        assert values.tolist() == [p.evaluate(m) for m in masks]
 
 
 def _sparse_mask(nvars):
@@ -209,22 +206,12 @@ def _batch_cases(draw):
 def test_evaluate_batch_matches_pointwise_property(case):
     p, npoints, seed = case
     rng = random.Random(seed)
-    points = np.array([rng.getrandbits(p.nvars) for _ in range(npoints)], dtype=np.uint64)
-    values = evaluate_batch(p, PointSet(points, p.nvars))
-    assert values.tolist() == [p.evaluate(int(m)) for m in points.tolist()]
+    masks = [rng.getrandbits(p.nvars) for _ in range(npoints)]
+    values = evaluate_batch(p, point_set(masks, p.nvars))
+    assert values.tolist() == [p.evaluate(m) for m in masks]
     # int64 exactly when every value fits in 63 two's-complement planes
     in_63_planes = all(-(2**62) <= x < 2**62 for x in values.tolist())
     assert values.dtype == (np.int64 if in_63_planes else object)
-
-
-@pytest.mark.parametrize("npoints", [1, 7, 8, 513])
-def test_columns_match_a_per_point_transpose(npoints):
-    rng = random.Random(npoints)
-    masks = [rng.getrandbits(64) | (1 << 63) * (j % 2) for j in range(npoints)]
-    points = np.array(masks, dtype=np.uint64)
-    for width in (0, 1, 31, 32, 63, 64):
-        expected = [sum(((m >> i) & 1) << j for j, m in enumerate(masks)) for i in range(width)]
-        assert _columns(points, width) == expected
 
 
 def _grouped_poly(coeffs):
@@ -250,25 +237,37 @@ GROUP_CASES = {
 @pytest.mark.parametrize("p", GROUP_CASES.values(), ids=GROUP_CASES.keys())
 def test_evaluate_batch_carry_save_groups_match_pointwise(p):
     rng = random.Random(len(p.terms))
-    points = np.array([rng.getrandbits(12) for _ in range(300)], dtype=np.uint64)
-    expected = [p.evaluate(int(m)) for m in points.tolist()]
+    masks = [rng.getrandbits(12) for _ in range(300)]
+    expected = [p.evaluate(m) for m in masks]
     in_63_planes = all(-(2**62) <= x < 2**62 for x in expected)
     for width in (12, 20):
-        values = evaluate_batch(p, PointSet(points, width))
+        values = evaluate_batch(p, point_set(masks, width))
         assert values.tolist() == expected
         assert values.dtype == (np.int64 if in_63_planes else object)
 
 
+@pytest.mark.parametrize("n_trials", [1, 7, 1100, 3000])
 @pytest.mark.parametrize("nvars", [0, 1, 31, 32, 64])
-def test_sample_points_transpose_the_chunks_in_draw_order(nvars):
-    # 1100 points: two full chunks and a partial one
-    assert 1100 % CHUNK_TRIALS
-    masks = np.concatenate(sample_tuple_chunks(nvars, 1100, random.Random(9))).tolist()
-    points = sample_points(nvars, 1100, random.Random(9))
-    assert len(points) == 1100
-    assert points.columns == [
-        sum(((m >> i) & 1) << j for j, m in enumerate(masks)) for i in range(nvars)
-    ]
+def test_sample_points_draw_one_column_per_variable_in_order(nvars, n_trials):
+    rng = random.Random(9)
+    points = sample_points(nvars, n_trials, random.Random(9))
+    assert len(points) == n_trials
+    assert points.columns == [rng.getrandbits(n_trials) for _ in range(nvars)]
+
+
+def test_sample_points_need_a_trial():
+    with pytest.raises(ValueError):
+        sample_points(4, 0, random.Random(9))
+
+
+def test_sample_points_fill_the_cube_uniformly():
+    # 2**16 points in 4 variables: each of the 16 cells expects 4096, sigma ~ 62
+    points = sample_points(4, 1 << 16, random.Random(0))
+    cells = [0] * 16
+    for j in range(len(points)):
+        cells[sum(((column >> j) & 1) << i for i, column in enumerate(points.columns))] += 1
+    assert sum(cells) == 1 << 16
+    assert max(abs(count - 4096) for count in cells) <= 310
 
 
 def test_evaluate_batch_takes_only_a_point_set_or_a_range():
@@ -280,16 +279,15 @@ def test_evaluate_batch_takes_only_a_point_set_or_a_range():
 
 
 def test_evaluate_batch_rejects_a_narrower_point_set():
-    points = np.zeros(10, dtype=np.uint64)
+    points = point_set([0] * 10, 11)
     for p in (v(12, 12), Poly.zero(12)):
         with pytest.raises(DimensionError):
-            evaluate_batch(p, PointSet(points, 11))
+            evaluate_batch(p, points)
 
 
 def test_evaluate_batch_peak_memory_stays_small():
     # a stack of prefix ANDs and fewer than GROUP_ROWS pending rows per
     # signed power of two; a dict cache of every prefix peaks near 17 MB here
-    masks = np.concatenate(sample_tuple_chunks(32, 3000, random.Random(22)))
     for coeff in (
         lambda rng, j: rng.choice((-3, -2, -1, 1, 2, 3)),
         lambda rng, j: rng.choice((-1, 1)) * (j + 1),  # no coefficient repeats
@@ -305,7 +303,7 @@ def test_evaluate_batch_peak_memory_stays_small():
         p = Poly(32, terms)
         tracemalloc.start()
         try:
-            evaluate_batch(p, PointSet(masks, 32))
+            evaluate_batch(p, sample_points(32, 3000, random.Random(22)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
