@@ -25,7 +25,6 @@ def poly_strategy(nvars, max_terms=6, max_coeff=4):
 
 def point_set(masks, width):
     """A PointSet of the given int masks, transposed point by point in Python."""
-    masks = [int(m) for m in masks]
     columns = [sum(((m >> i) & 1) << j for j, m in enumerate(masks)) for i in range(width)]
     return PointSet(len(masks), columns)
 
