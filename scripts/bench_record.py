@@ -13,6 +13,13 @@ revision and ``src/cubesign`` line count ``src_lines``, the seeds and nproc.
 One traced run per side is too noisy to decide a per-layer claim; the median
 over several seeds is steadier.
 
+After each pair of traced runs, ``import cubesign.cli`` is timed once per
+side, in the same order, each in a fresh interpreter from the checkout's
+``src`` with one run of ``perfbench/run.py``'s probe just before it.
+``cli_import`` holds each side's raw and probe-scaled median and every
+import with its probe time.  The traced ``cli.import_ms`` runs after the
+loop of its own run, while that run's probe time comes from inside the loop.
+
 Traced times are wall times of one run, so they move with the host's speed.
 ``median_probe_scaled`` holds the medians of the time metrics (unit ``s/op``
 or ``ms``) with each run's value scaled as ``perfbench/run.py`` scales its
@@ -47,15 +54,30 @@ WORKLOADS = ("verify", "keygen_sign", "exhaustive")
 TRACE_SEEDS = (51, 52, 53)
 TRACE_ARGS = ("--seconds", "0", "--trace", "1")
 TIME_UNITS = ("s/op", "ms")
+IMPORT_CODE = ("import time; t = time.perf_counter(); import cubesign.cli;"
+               " print(1000 * (time.perf_counter() - t))")
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def perfbench_run():
+    """This repository's ``perfbench/run.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def ref_probe_ms() -> float:
     """The nominal probe time to which ``perfbench/run.py`` scales its gated times."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.REF_PROBE_MS
+    return perfbench_run().REF_PROBE_MS
+
+
+def cli_import_ms(checkout: Path) -> float:
+    """Wall ms of ``import cubesign.cli`` from the checkout's ``src`` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, (str(checkout / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CODE], cwd=checkout, capture_output=True,
+                          text=True, check=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    return float(proc.stdout)
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, extra: tuple[str, ...]) -> tuple[dict, dict]:
@@ -122,7 +144,9 @@ def side_order(k: int) -> tuple[str, str]:
 def record_traces(checkout: Path, parent: Path, out: Path) -> dict:
     dirs = {"parent": parent, "change": checkout}
     ref_ms = ref_probe_ms()
+    probe = perfbench_run().make_probe()
     runs: dict[str, dict[str, list]] = {side: {w: [] for w in WORKLOADS} for side in dirs}
+    imports: dict[str, list] = {side: [] for side in dirs}
     for k, (workload, seed) in enumerate(itertools.product(WORKLOADS, TRACE_SEEDS)):
         order = side_order(k)
         for side in order:
@@ -132,6 +156,9 @@ def record_traces(checkout: Path, parent: Path, out: Path) -> dict:
                 "absent": report.get("absent", []), "calibration_ms": report["calibration_ms"],
                 "result": result,
             })
+        for side in order:
+            probe_ms = probe()
+            imports[side].append({"probe_ms": probe_ms, "import_ms": cli_import_ms(dirs[side])})
     return merge(out, {side: {
         "git_revision": git_revision(dirs[side]),
         "src_lines": src_lines(dirs[side]),
@@ -145,6 +172,13 @@ def record_traces(checkout: Path, parent: Path, out: Path) -> dict:
             "median_probe_scaled": medians([probe_scaled(run, ref_ms) for run in wruns]),
             "runs": wruns,
         } for workload, wruns in runs[side].items()},
+        "cli_import": {
+            "command": IMPORT_CODE,
+            "median_ms": statistics.median(run["import_ms"] for run in imports[side]),
+            "median_probe_scaled_ms": statistics.median(
+                run["import_ms"] * ref_ms / run["probe_ms"] for run in imports[side]),
+            "runs": imports[side],
+        },
     } for side in dirs})
 
 

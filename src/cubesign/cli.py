@@ -83,7 +83,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     message = _read_message(args.message)
     sig = signature_from_text(Path(args.sig).read_text())
     rng = _make_rng(args.seed)
-    report = verify(pub, message, sig, params, rng, exhaustive=args.exhaustive)
+    report = verify(pub, message, sig, params, rng)
     print(f"trials={report.trials}")
     print(f"reference_positive={report.reference_proportion:.4f}")
     print(f"signed_positive={report.signed_proportion:.4f}")
@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="deterministic RNG seed (tests only)")
     p.add_argument("--trials", type=int, help="override sample count")
     p.add_argument("--threshold", type=float, help="override accepted proportion gap")
-    p.add_argument("--exhaustive", action="store_true", help="enumerate instead of sampling")
     p.add_argument("message", nargs="?", help="message file; omit or '-' for stdin")
     p.set_defaults(func=cmd_verify)
 

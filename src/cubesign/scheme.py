@@ -157,19 +157,24 @@ def _nested_combine(coeffs: list[int], vals: list[np.ndarray]) -> np.ndarray | i
 
     Nested as f0 + v * f1 over the halves of coeffs, in place on the new arrays
     it returns.  Zero halves are skipped, so a constant form gives coeffs[0].
+    Each of vals is either a full block or one row that broadcasts over it;
+    an operation is in place when its left operand is at least as large as
+    the right, and out of place, to the broadcast shape, when it is a row.
     """
     if len(coeffs) == 1:
         return coeffs[0]
     half = len(coeffs) // 2
     low, high = _nested_combine(coeffs[:half], vals), _nested_combine(coeffs[half:], vals)
     v = vals[half.bit_length() - 1]
-    if isinstance(high, np.ndarray):
+    if isinstance(high, np.ndarray) and high.size >= v.size:
         high *= v
-    elif high:
+    elif isinstance(high, np.ndarray) or high:
         high = high * v
     else:
         return low
-    if isinstance(low, np.ndarray) or low:
+    if isinstance(low, np.ndarray) and low.size > high.size:
+        high = high + low
+    elif isinstance(low, np.ndarray) or low:
         high += low
     return high
 
@@ -183,18 +188,31 @@ def _challenge_positive(
     When it does, every component the challenge reads has a cube bound below
     2**62, so its values come back as int64; the combine never reads the
     others.
+
+    A component in w variables, the fewest among them, depends only on the
+    low w bits of a point.  So on a subcube block wider than 2**w it is
+    evaluated once on range(0, 2**w), as one row, and the other components'
+    values are viewed as rows of 2**w over the block; a combination that
+    reads only the narrowest components spans one row, and its count is
+    multiplied by the rows it did not span.
     """
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
     exact = fits_int64(challenge, components)
     coeffs = [challenge.terms.get(mask, 0) for mask in range(1 << challenge.nvars)]
+    width = min(p.nvars for p in components)
+    row = range(1 << width)
     count = 0
     for points in blocks:
-        vals = [evaluate_batch(p, points) for p in components]
+        wide = isinstance(points, range) and len(points) > len(row)
+        vals = [evaluate_batch(p, row if wide and p.nvars == width else points)
+                for p in components]
+        if wide:
+            vals = [v.reshape(-1, len(row)) for v in vals]
         if not exact:
             vals = [v.astype(object) for v in vals]
         positive = _nested_combine(coeffs, vals) > 0
-        count += int(np.count_nonzero(np.broadcast_to(positive, len(points))))
+        count += int(np.count_nonzero(positive)) * (len(points) // np.size(positive))
     return count
 
 

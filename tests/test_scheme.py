@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubesign import scheme
 from cubesign.automorphisms import extend_for_signing, sample_automorphism, sample_indicator
 from cubesign.counting import (
     cube_blocks,
@@ -369,6 +370,49 @@ def test_unwidened_components_count_like_their_widened_copies(exhaustive):
             widened = [p.widen(m) for p in components]
             assert _challenge_positive(challenge, components, blocks) == _challenge_positive(
                 challenge, widened, blocks)
+
+
+@pytest.mark.parametrize("magnitude", [4, 1 << 41], ids=["int64", "object"])
+@pytest.mark.parametrize("widths", [(9, 10, 11, 12), (10, 10, 10, 10)],
+                         ids=["mixed", "all-narrower"])
+def test_narrow_components_broadcast_over_a_wider_block(widths, magnitude):
+    # the narrowest components are evaluated once on their own cube; with
+    # every component narrower than the block the combination spans one row
+    rng = random.Random(sum(widths))
+    components = [
+        Poly(nv, {rng.randrange(1 << nv): rng.choice((1, -1)) * rng.randrange(1, magnitude)
+                  for _ in range(6)})
+        for nv in widths
+    ]
+    widened = [p.widen(12) for p in components]
+    blocks = cube_blocks(12)
+    assert len(blocks) == 1
+    for seed in range(4):
+        challenge = sample_challenge(random.Random(seed))
+        assert fits_int64(challenge, components) == (magnitude == 4)
+        expected = cube_recount(challenge, widened)
+        assert 0 < expected < 1 << 12
+        assert _challenge_positive(challenge, components, blocks) == expected
+
+
+def test_exhaustive_verify_evaluates_public_polynomials_on_their_own_cube(monkeypatch):
+    params = SchemeParams(n=14, trials=1000)
+    rng = random.Random(14)
+    priv, pub = keygen(params, rng)
+    q = synth_q(params.n + 1, rng)
+    sig = sign_poly(priv, params, q, rng)
+    calls = []
+
+    def recorder(p, points):
+        calls.append((p, points))
+        return evaluate_batch(p, points)
+
+    monkeypatch.setattr(scheme, "evaluate_batch", recorder)
+    rep = verify_poly(pub, q, sig, params=params, rng=random.Random(3), exhaustive=True)
+    public, cube = range(1 << params.n), range(1 << (params.n + 1))
+    assert calls == [(p, public) for p in pub.base] + [(q, cube)] + [
+        (p, public) for p in pub.mapped] + [(sig.poly, cube)]
+    assert rep.accepted and rep.count_gap == 0
 
 
 def test_unmapped_hash_polynomial_mostly_fails():

@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -87,6 +89,7 @@ def test_bench_record_interleaves_traced_runs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "run_perfbench", fake_run)
     monkeypatch.setattr(bench, "git_revision", lambda checkout: checkout.name)
+    monkeypatch.setattr(bench, "cli_import_ms", lambda checkout: 100.0)
     # src_lines counts the lines of src/cubesign/*.py only
     for side, lines in (("parent", 3), ("change", 2)):
         src = tmp_path / side / "src" / "cubesign"
@@ -122,3 +125,54 @@ def test_bench_record_interleaves_traced_runs(tmp_path, monkeypatch):
         "parent", "change", "parent"]
     with pytest.raises(SystemExit):
         bench.main(["--checkout", "c", "--parent", "p", "--out", str(out), "--workload", "verify"])
+
+
+def test_bench_record_times_cli_imports_between_probes(tmp_path, monkeypatch):
+    bench = load("bench_record")
+    events = []
+    probe_times = iter([10.0, 20.0, 40.0] * 6)
+
+    def probe():
+        events.append("probe")
+        return next(probe_times)
+
+    def fake_subprocess_run(cmd, cwd, env, **kwargs):
+        side = Path(cwd).name
+        assert cmd[1:] == ["-c", bench.IMPORT_CODE]
+        assert env["PYTHONPATH"].split(":")[0] == str(Path(cwd) / "src")
+        events.append(side)
+        ms = 100.0 if side == "parent" else 50.0
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"{ms + len(events)}\n", stderr="")
+
+    def fake_run(checkout, workload, seed, extra):
+        return ({"metrics": {}}, {"provenance": {"src_sha256": checkout.name}, "absent": [],
+                                  "calibration_ms": 40.0})
+
+    monkeypatch.setattr(bench, "perfbench_run",
+                        lambda: SimpleNamespace(REF_PROBE_MS=40.0, make_probe=lambda: probe))
+    monkeypatch.setattr(bench.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(bench, "run_perfbench", fake_run)
+    monkeypatch.setattr(bench, "git_revision", lambda checkout: checkout.name)
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "cubesign").mkdir(parents=True)
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--checkout", str(tmp_path / "change"), "--parent", str(tmp_path / "parent"),
+                       "--out", str(out)]) == 0
+    # one probe just before each fresh import, the sides alternating as the traced runs do
+    pairs = len(bench.WORKLOADS) * len(bench.TRACE_SEEDS)
+    expected = []
+    for k in range(pairs):
+        for side in bench.side_order(k):
+            expected += ["probe", side]
+    assert events == expected
+    data = json.loads(out.read_text())
+    for side, base in (("parent", 100.0), ("change", 50.0)):
+        cli = data[side]["cli_import"]
+        assert cli["command"] == bench.IMPORT_CODE
+        assert len(cli["runs"]) == pairs
+        raw = [run["import_ms"] for run in cli["runs"]]
+        assert raw == [base + i + 1 for i, event in enumerate(events) if event == side]
+        scaled = sorted(run["import_ms"] * 40.0 / run["probe_ms"] for run in cli["runs"])
+        assert cli["median_ms"] == sorted(raw)[pairs // 2]
+        assert cli["median_probe_scaled_ms"] == scaled[pairs // 2]
+        assert {run["probe_ms"] for run in cli["runs"]} == {10.0, 20.0, 40.0}
