@@ -60,16 +60,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def perfbench_run():
-    """This repository's ``perfbench/run.py``, loaded as a module."""
+    """This repository's ``perfbench/run.py`` as a module: its probe and ``REF_PROBE_MS``.
+
+    ``REF_PROBE_MS`` is the nominal probe time to which it scales its gated times.
+    """
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def ref_probe_ms() -> float:
-    """The nominal probe time to which ``perfbench/run.py`` scales its gated times."""
-    return perfbench_run().REF_PROBE_MS
 
 
 def cli_import_ms(checkout: Path) -> float:
@@ -143,8 +141,8 @@ def side_order(k: int) -> tuple[str, str]:
 
 def record_traces(checkout: Path, parent: Path, out: Path) -> dict:
     dirs = {"parent": parent, "change": checkout}
-    ref_ms = ref_probe_ms()
-    probe = perfbench_run().make_probe()
+    bench = perfbench_run()
+    ref_ms, probe = bench.REF_PROBE_MS, bench.make_probe()
     runs: dict[str, dict[str, list]] = {side: {w: [] for w in WORKLOADS} for side in dirs}
     imports: dict[str, list] = {side: [] for side in dirs}
     for k, (workload, seed) in enumerate(itertools.product(WORKLOADS, TRACE_SEEDS)):

@@ -373,11 +373,12 @@ def test_unwidened_components_count_like_their_widened_copies(exhaustive):
 
 
 @pytest.mark.parametrize("magnitude", [4, 1 << 41], ids=["int64", "object"])
-@pytest.mark.parametrize("widths", [(9, 10, 11, 12), (10, 10, 10, 10)],
-                         ids=["mixed", "all-narrower"])
+@pytest.mark.parametrize("widths", [(9, 10, 11, 12), (12, 9, 10, 11), (10, 10, 10, 10)],
+                         ids=["mixed", "narrow-second", "all-narrower"])
 def test_narrow_components_broadcast_over_a_wider_block(widths, magnitude):
     # the narrowest components are evaluated once on their own cube; with
-    # every component narrower than the block the combination spans one row
+    # every component narrower than the block the combination spans one row.
+    # The fixed challenge adds a row (2 * second) to a full block (first - 1).
     rng = random.Random(sum(widths))
     components = [
         Poly(nv, {rng.randrange(1 << nv): rng.choice((1, -1)) * rng.randrange(1, magnitude)
@@ -387,8 +388,8 @@ def test_narrow_components_broadcast_over_a_wider_block(widths, magnitude):
     widened = [p.widen(12) for p in components]
     blocks = cube_blocks(12)
     assert len(blocks) == 1
-    for seed in range(4):
-        challenge = sample_challenge(random.Random(seed))
+    fixed = Poly(CHALLENGE_NVARS, {0: -1, 0b0001: 1, 0b0010: 2, 0b1100: 1})
+    for challenge in [fixed] + [sample_challenge(random.Random(seed)) for seed in range(4)]:
         assert fits_int64(challenge, components) == (magnitude == 4)
         expected = cube_recount(challenge, widened)
         assert 0 < expected < 1 << 12
