@@ -16,8 +16,9 @@ over several seeds is steadier.
 After each pair of traced runs, ``import cubesign.cli`` is timed once per
 side, in the same order, each in a fresh interpreter from the checkout's
 ``src`` with one run of ``perfbench/run.py``'s probe just before it.
-``cli_import`` holds each side's raw and probe-scaled median and every
-import with its probe time.  The traced ``cli.import_ms`` runs after the
+``cli_import`` holds each side's raw and probe-scaled median and minimum
+and every import with its probe time.  The minimum is the steadier figure:
+host noise only ever adds to an import's time.  The traced ``cli.import_ms`` runs after the
 loop of its own run, while that run's probe time comes from inside the loop.
 
 Traced times are wall times of one run, so they move with the host's speed.
@@ -157,6 +158,9 @@ def record_traces(checkout: Path, parent: Path, out: Path) -> dict:
         for side in order:
             probe_ms = probe()
             imports[side].append({"probe_ms": probe_ms, "import_ms": cli_import_ms(dirs[side])})
+    raw_ms = {side: [run["import_ms"] for run in imports[side]] for side in dirs}
+    scaled_ms = {side: [run["import_ms"] * ref_ms / run["probe_ms"] for run in imports[side]]
+                 for side in dirs}
     return merge(out, {side: {
         "git_revision": git_revision(dirs[side]),
         "src_lines": src_lines(dirs[side]),
@@ -172,9 +176,10 @@ def record_traces(checkout: Path, parent: Path, out: Path) -> dict:
         } for workload, wruns in runs[side].items()},
         "cli_import": {
             "command": IMPORT_CODE,
-            "median_ms": statistics.median(run["import_ms"] for run in imports[side]),
-            "median_probe_scaled_ms": statistics.median(
-                run["import_ms"] * ref_ms / run["probe_ms"] for run in imports[side]),
+            "median_ms": statistics.median(raw_ms[side]),
+            "median_probe_scaled_ms": statistics.median(scaled_ms[side]),
+            "min_ms": min(raw_ms[side]),
+            "min_probe_scaled_ms": min(scaled_ms[side]),
             "runs": imports[side],
         },
     } for side in dirs})

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,63 +155,66 @@ def _nested_combine(coeffs: list[int], vals: list[np.ndarray]) -> np.ndarray | i
     """Sum over masks of coeffs[mask] times the product of vals[i] for the bits i of mask.
 
     Nested as f0 + v * f1 over the halves of coeffs, in place on the new arrays
-    it returns.  Zero halves are skipped, so a constant form gives coeffs[0].
-    Each of vals is either a full block or one row that broadcasts over it;
-    an operation is in place when its left operand is at least as large as
-    the right, and out of place, to the broadcast shape, when it is a row.
+    it returns; vals share one shape.  Zero halves are skipped, so a constant
+    form gives coeffs[0].
     """
     if len(coeffs) == 1:
         return coeffs[0]
     half = len(coeffs) // 2
     low, high = _nested_combine(coeffs[:half], vals), _nested_combine(coeffs[half:], vals)
     v = vals[half.bit_length() - 1]
-    if isinstance(high, np.ndarray) and high.size >= v.size:
+    if isinstance(high, np.ndarray):
         high *= v
-    elif isinstance(high, np.ndarray) or high:
+    elif high:
         high = high * v
     else:
         return low
-    if isinstance(low, np.ndarray) and low.size > high.size:
-        high = high + low
-    elif isinstance(low, np.ndarray) or low:
+    if isinstance(low, np.ndarray) or low:
         high += low
     return high
 
 
-def _challenge_positive(
-    challenge: Poly, components: list[Poly], blocks: Sequence[PointSet | range]
-) -> int:
-    """Count points of the blocks where the challenge of the component values is positive.
+def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSet | None) -> int:
+    """Count points where the challenge of the component values is positive.
 
-    Whether int64 combines the values exactly is checked once for all blocks.
-    When it does, every component the challenge reads has a cube bound below
-    2**62, so its values come back as int64; the combine never reads the
-    others.
+    ``points`` is a sample ``PointSet``, or None for the whole cube of the
+    widest component.  The challenge is split on its last variable y as
+    f0 + y * f1, where f0 and f1 combine the other components.  The cube is
+    walked in the blocks of the widest of those, in w variables: each block
+    evaluates them, f0 and f1 once, and the last component on the block
+    shifted by every multiple of 2**w below the cube's size.  A point set
+    is one block with the single shift 0.
 
-    A component in w variables, the fewest among them, depends only on the
-    low w bits of a point.  So on a subcube block wider than 2**w it is
-    evaluated once on range(0, 2**w), as one row, and the other components'
-    values are viewed as rows of 2**w over the block; a combination that
-    reads only the narrowest components spans one row, and its count is
-    multiplied by the rows it did not span.
+    Whether int64 combines the values exactly is checked once.  When it does,
+    every component the challenge reads has a cube bound below 2**62, so its
+    values come back as int64; the combine never reads the others.
     """
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
     exact = fits_int64(challenge, components)
     coeffs = [challenge.terms.get(mask, 0) for mask in range(1 << challenge.nvars)]
-    width = min(p.nvars for p in components)
-    row = range(1 << width)
+    *rest, last = components
+    if points is None:
+        width = max(p.nvars for p in rest)
+        top = max(width, last.nvars)
+        cube_blocks(top)  # the enumeration limit holds for the whole cube walked
+        blocks, shifts = cube_blocks(width), range(0, 1 << top, 1 << width)
+    else:
+        blocks, shifts = [points], [0]
+    half = len(coeffs) // 2
     count = 0
-    for points in blocks:
-        wide = isinstance(points, range) and len(points) > len(row)
-        vals = [evaluate_batch(p, row if wide and p.nvars == width else points)
-                for p in components]
-        if wide:
-            vals = [v.reshape(-1, len(row)) for v in vals]
+    for block in blocks:
+        vals = [evaluate_batch(p, block) for p in rest]
         if not exact:
             vals = [v.astype(object) for v in vals]
-        positive = _nested_combine(coeffs, vals) > 0
-        count += int(np.count_nonzero(positive)) * (len(points) // np.size(positive))
+        f0, f1 = _nested_combine(coeffs[:half], vals), _nested_combine(coeffs[half:], vals)
+        for s in shifts:
+            y = evaluate_batch(last, range(block.start + s, block.stop + s) if s else block)
+            if not exact:
+                y = y.astype(object)
+            value = f1 * y
+            value += f0
+            count += int(np.count_nonzero(value > 0))
     return count
 
 
@@ -254,8 +256,8 @@ def verify_poly(
     # public polynomials need no widening.
     counts = []
     for components in ([*pub.base, message_poly], [*pub.mapped, sig.poly]):
-        blocks = cube_blocks(m) if exhaustive else [sample_points(m, total, rng)]
-        counts.append(_challenge_positive(challenge, components, blocks))
+        points = None if exhaustive else sample_points(m, total, rng)
+        counts.append(_challenge_positive(challenge, components, points))
     ref, signed = counts
     allowed = math.floor(params.threshold * total)
     return VerifyReport(
@@ -274,8 +276,6 @@ def verify(
     sig: Signature,
     params: SchemeParams | None = None,
     rng: random.Random | None = None,
-    *,
-    exhaustive: bool = False,
 ) -> VerifyReport:
     if params is None:
         params = pub.params
@@ -284,9 +284,7 @@ def verify(
             f"message conversion is fixed at {hashing.POLY_NVARS} variables;"
             f" use verify_poly for reduced profiles"
         )
-    return verify_poly(
-        pub, hashing.message_poly(message), sig, params, rng, exhaustive=exhaustive
-    )
+    return verify_poly(pub, hashing.message_poly(message), sig, params, rng)
 
 
 # --- file formats ---

@@ -14,7 +14,7 @@ from cubesign.counting import (
     fits_int64,
     sample_points,
 )
-from cubesign.errors import DimensionError, FormatError
+from cubesign.errors import CapacityError, DimensionError, FormatError
 from cubesign.params import SchemeParams
 from cubesign.poly import Poly, mask_of, split_blocks
 from cubesign.scheme import (
@@ -231,21 +231,23 @@ def cube_recount(challenge, components):
 
 
 def test_exhaustive_verify_matches_whole_cube_recount():
-    # n=17 enumerates 2**18 points in four blocks
-    params = SchemeParams(n=17, trials=1000)
-    rng = random.Random(9)
-    priv, pub = keygen(params, rng)
-    q = synth_q(params.n + 1, rng)
-    wrong = PrivateKey(sample_automorphism(params, random.Random(900)))
-    m = params.n + 1
-    for signer, seed in ((priv, 4), (wrong, 5)):
-        sig = sign_poly(signer, params, q, random.Random(seed))
-        rep = verify_poly(pub, q, sig, params=params, rng=random.Random(seed), exhaustive=True)
-        reference = [p.widen(m) for p in pub.base] + [q]
-        signed = [p.widen(m) for p in pub.mapped] + [sig.poly]
-        assert rep.trials == 1 << m
-        assert rep.reference_positive == cube_recount(rep.challenge, reference)
-        assert rep.signed_positive == cube_recount(rep.challenge, signed)
+    # n=15 walks one block of 2**15 points twice; n=17 two blocks of 2**16 twice
+    for n in (15, 17):
+        params = SchemeParams(n=n, trials=1000)
+        rng = random.Random(9)
+        priv, pub = keygen(params, rng)
+        q = synth_q(params.n + 1, rng)
+        wrong = PrivateKey(sample_automorphism(params, random.Random(900)))
+        m = params.n + 1
+        for signer, seed in ((priv, 4), (wrong, 5)):
+            sig = sign_poly(signer, params, q, random.Random(seed))
+            rep = verify_poly(pub, q, sig, params=params, rng=random.Random(seed),
+                              exhaustive=True)
+            reference = [p.widen(m) for p in pub.base] + [q]
+            signed = [p.widen(m) for p in pub.mapped] + [sig.poly]
+            assert rep.trials == 1 << m
+            assert rep.reference_positive == cube_recount(rep.challenge, reference)
+            assert rep.signed_positive == cube_recount(rep.challenge, signed)
 
 
 def test_challenge_exact_path_matches_pointwise_recount():
@@ -266,7 +268,7 @@ def test_challenge_exact_path_matches_pointwise_recount():
     expected = sum(combined.evaluate(point) > 0 for point in range(1 << nv))
     assert 0 < expected < 1 << nv
     points = point_set(range(1 << nv), nv)
-    assert _challenge_positive(challenge, components, [points]) == expected
+    assert _challenge_positive(challenge, components, points) == expected
 
 
 def pointwise_positive(challenge, components, points):
@@ -296,10 +298,9 @@ def test_challenge_combine_matches_pointwise_recount(terms, magnitude):
     challenge = Poly(CHALLENGE_NVARS, terms)
     assert fits_int64(challenge, components) == (magnitude == 4)
     samples = [rng.getrandbits(nv) for _ in range(300)]
-    for blocks, points in (([point_set(samples, nv)], samples),
-                           (cube_blocks(nv), range(1 << nv))):
+    for given, points in ((point_set(samples, nv), samples), (None, range(1 << nv))):
         expected = pointwise_positive(challenge, components, points)
-        assert _challenge_positive(challenge, components, blocks) == expected
+        assert _challenge_positive(challenge, components, given) == expected
     if set(terms) == {0}:
         assert expected == (1 << nv) * (terms[0] > 0)
     else:
@@ -320,12 +321,11 @@ def test_challenge_exact_path_over_two_cube_blocks():
     ]
     challenge = Poly(CHALLENGE_NVARS, {0: -5, 0b0011: 1, 0b0101: -2, 0b1110: 2, 0b1111: 1})
     assert not fits_int64(challenge, components)
-    blocks = cube_blocks(nv)
-    assert len(blocks) == 2
+    assert len(cube_blocks(nv)) == 2
     expected = exact_value_counts(combine(challenge, components)).positive
     assert expected == cube_recount(challenge, components)
     assert 0 < expected < 1 << nv
-    assert _challenge_positive(challenge, components, blocks) == expected
+    assert _challenge_positive(challenge, components, None) == expected
 
 
 def test_challenge_combine_never_reads_a_component_the_challenge_does_not_use():
@@ -337,10 +337,10 @@ def test_challenge_combine_never_reads_a_component_the_challenge_does_not_use():
     components = [Poly.zero(nv), x[1] - x[2], 2 * x[3] + 1, big]
     challenge = Poly(CHALLENGE_NVARS, {0: -1, 0b0010: 1, 0b0100: 1, 0b0011: 2})
     assert fits_int64(challenge, components)
-    for blocks in (cube_blocks(nv), [point_set(range(1 << nv), nv)]):
-        assert evaluate_batch(big, blocks[0]).dtype == object
+    for points in (None, point_set(range(1 << nv), nv)):
+        assert evaluate_batch(big, range(1 << nv) if points is None else points).dtype == object
         expected = pointwise_positive(challenge, components, range(1 << nv))
-        assert _challenge_positive(challenge, components, blocks) == expected
+        assert _challenge_positive(challenge, components, points) == expected
 
 
 def test_challenge_combine_bounds_coefficients_on_a_zero_component():
@@ -350,9 +350,9 @@ def test_challenge_combine_bounds_coefficients_on_a_zero_component():
     components = [Poly.zero(nv), x[1] - x[2], x[0] + 1, x[3]]
     challenge = Poly(CHALLENGE_NVARS, {0b11: 1 << 70, 0b1: 1})
     assert not fits_int64(challenge, components)
-    for blocks in (cube_blocks(nv), [point_set(range(1 << nv), nv)]):
+    for points in (None, point_set(range(1 << nv), nv)):
         expected = pointwise_positive(challenge, components, range(1 << nv))
-        assert _challenge_positive(challenge, components, blocks) == expected
+        assert _challenge_positive(challenge, components, points) == expected
 
 
 @pytest.mark.parametrize("exhaustive", [False, True])
@@ -363,45 +363,40 @@ def test_unwidened_components_count_like_their_widened_copies(exhaustive):
     m = params.n + 1
     q = synth_q(m, rng)
     sig = sign_poly(priv, params, q, rng)
-    blocks = cube_blocks(m) if exhaustive else [sample_points(m, params.trials, random.Random(5))]
+    points = None if exhaustive else sample_points(m, params.trials, random.Random(5))
     for seed in range(4):
         challenge = sample_challenge(random.Random(seed))
         for components in ([*pub.base, q], [*pub.mapped, sig.poly]):
             widened = [p.widen(m) for p in components]
-            assert _challenge_positive(challenge, components, blocks) == _challenge_positive(
-                challenge, widened, blocks)
+            assert _challenge_positive(challenge, components, points) == _challenge_positive(
+                challenge, widened, points)
 
 
 @pytest.mark.parametrize("magnitude", [4, 1 << 41], ids=["int64", "object"])
 @pytest.mark.parametrize("widths", [(9, 10, 11, 12), (12, 9, 10, 11), (10, 10, 10, 10)],
                          ids=["mixed", "narrow-second", "all-narrower"])
 def test_narrow_components_broadcast_over_a_wider_block(widths, magnitude):
-    # the narrowest components are evaluated once on their own cube; with
-    # every component narrower than the block the combination spans one row.
-    # The fixed challenge adds a row (2 * second) to a full block (first - 1).
+    # the whole cube of the widest component is counted: a last component
+    # wider than the others is evaluated on their block and its shift, a
+    # narrower one on their block.  The fixed challenge's y-part is one term.
     rng = random.Random(sum(widths))
     components = [
         Poly(nv, {rng.randrange(1 << nv): rng.choice((1, -1)) * rng.randrange(1, magnitude)
                   for _ in range(6)})
         for nv in widths
     ]
-    widened = [p.widen(12) for p in components]
-    blocks = cube_blocks(12)
-    assert len(blocks) == 1
+    top = max(widths)
+    widened = [p.widen(top) for p in components]
     fixed = Poly(CHALLENGE_NVARS, {0: -1, 0b0001: 1, 0b0010: 2, 0b1100: 1})
     for challenge in [fixed] + [sample_challenge(random.Random(seed)) for seed in range(4)]:
         assert fits_int64(challenge, components) == (magnitude == 4)
         expected = cube_recount(challenge, widened)
-        assert 0 < expected < 1 << 12
-        assert _challenge_positive(challenge, components, blocks) == expected
+        assert 0 < expected < 1 << top
+        assert _challenge_positive(challenge, components, None) == expected
 
 
-def test_exhaustive_verify_evaluates_public_polynomials_on_their_own_cube(monkeypatch):
-    params = SchemeParams(n=14, trials=1000)
-    rng = random.Random(14)
-    priv, pub = keygen(params, rng)
-    q = synth_q(params.n + 1, rng)
-    sig = sign_poly(priv, params, q, rng)
+def recorded_calls(monkeypatch):
+    """A list that records every (polynomial, points) passed to scheme.evaluate_batch."""
     calls = []
 
     def recorder(p, points):
@@ -409,11 +404,38 @@ def test_exhaustive_verify_evaluates_public_polynomials_on_their_own_cube(monkey
         return evaluate_batch(p, points)
 
     monkeypatch.setattr(scheme, "evaluate_batch", recorder)
-    rep = verify_poly(pub, q, sig, params=params, rng=random.Random(3), exhaustive=True)
-    public, cube = range(1 << params.n), range(1 << (params.n + 1))
-    assert calls == [(p, public) for p in pub.base] + [(q, cube)] + [
-        (p, public) for p in pub.mapped] + [(sig.poly, cube)]
-    assert rep.accepted and rep.count_gap == 0
+    return calls
+
+
+def test_exhaustive_verify_evaluates_public_polynomials_on_their_own_cube(monkeypatch):
+    # each public polynomial once per block of its own cube; the message
+    # polynomial or signature on that block and on its shift by 2**n
+    calls = recorded_calls(monkeypatch)
+    for n in (14, 16):
+        params = SchemeParams(n=n, trials=1000)
+        rng = random.Random(n)
+        priv, pub = keygen(params, rng)
+        q = synth_q(n + 1, rng)
+        sig = sign_poly(priv, params, q, rng)
+        calls.clear()
+        rep = verify_poly(pub, q, sig, params=params, rng=random.Random(3), exhaustive=True)
+        low, high = range(0, 1 << n), range(1 << n, 1 << (n + 1))
+        assert calls == [(p, low) for p in pub.base] + [(q, low), (q, high)] + [
+            (p, low) for p in pub.mapped] + [(sig.poly, low), (sig.poly, high)]
+        assert rep.accepted and rep.count_gap == 0
+
+
+def test_exhaustive_verify_refuses_a_cube_past_the_enumeration_limit(monkeypatch):
+    # the public polynomials' cube is within the limit; the (n+1)-cube is not
+    params = SchemeParams(n=25, trials=1000)
+    rng = random.Random(25)
+    priv, pub = keygen(params, rng)
+    q = synth_q(params.n + 1, rng)
+    sig = sign_poly(priv, params, q, rng)
+    calls = recorded_calls(monkeypatch)
+    with pytest.raises(CapacityError, match="at most 25 variables, got 26"):
+        verify_poly(pub, q, sig, params=params, rng=random.Random(3), exhaustive=True)
+    assert calls == []
 
 
 def test_unmapped_hash_polynomial_mostly_fails():

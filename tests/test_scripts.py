@@ -175,4 +175,5 @@ def test_bench_record_times_cli_imports_between_probes(tmp_path, monkeypatch):
         scaled = sorted(run["import_ms"] * 40.0 / run["probe_ms"] for run in cli["runs"])
         assert cli["median_ms"] == sorted(raw)[pairs // 2]
         assert cli["median_probe_scaled_ms"] == scaled[pairs // 2]
+        assert (cli["min_ms"], cli["min_probe_scaled_ms"]) == (min(raw), scaled[0])
         assert {run["probe_ms"] for run in cli["runs"]} == {10.0, 20.0, 40.0}
