@@ -18,8 +18,9 @@ side, in the same order, each in a fresh interpreter from the checkout's
 ``src`` with one run of ``perfbench/run.py``'s probe just before it.
 ``cli_import`` holds each side's raw and probe-scaled median and minimum
 and every import with its probe time.  The minimum is the steadier figure:
-host noise only ever adds to an import's time.  The traced ``cli.import_ms`` runs after the
-loop of its own run, while that run's probe time comes from inside the loop.
+host noise only ever adds to an import's time.  The traced ``cli.import_ms``
+runs after the loop of its own run, while that run's probe time comes from
+inside the loop.
 
 Traced times are wall times of one run, so they move with the host's speed.
 ``median_probe_scaled`` holds the medians of the time metrics (unit ``s/op``

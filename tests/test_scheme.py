@@ -378,7 +378,7 @@ def test_unwidened_components_count_like_their_widened_copies(exhaustive):
 def test_narrow_components_broadcast_over_a_wider_block(widths, magnitude):
     # the whole cube of the widest component is counted: a last component
     # wider than the others is evaluated on their block and its shift, a
-    # narrower one on their block.  The fixed challenge's y-part is one term.
+    # narrower one on their block.  The fixed challenge's f1 is one component.
     rng = random.Random(sum(widths))
     components = [
         Poly(nv, {rng.randrange(1 << nv): rng.choice((1, -1)) * rng.randrange(1, magnitude)
