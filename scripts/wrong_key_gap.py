@@ -17,21 +17,9 @@ import random
 import statistics
 from dataclasses import replace
 
-from cubesign.automorphisms import sample_automorphism
+from cubesign.automorphisms import sample_automorphism, sample_sparse
 from cubesign.params import parse_param_overrides
-from cubesign.poly import Poly, mask_of
 from cubesign.scheme import PrivateKey, keygen, sign_poly, verify_poly
-
-
-def synth_message_poly(nvars: int, rng: random.Random, nterms: int = 20) -> Poly:
-    """Random stand-in for the hashed message at reduced variable counts."""
-    terms = {}
-    while len(terms) < nterms:
-        degree = rng.randint(1, 3)
-        mask = mask_of(rng.sample(range(1, nvars + 1), degree))
-        if mask not in terms:
-            terms[mask] = rng.choice((1, -1))
-    return Poly(nvars, terms)
 
 
 def quantiles(values):
@@ -43,22 +31,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--cycles", type=int, default=50, help="keypairs per population")
-    parser.add_argument("--params", help="comma-separated overrides, e.g. n=12,trials=2000")
-    parser.add_argument("--threshold", type=float, help="override the acceptance gap")
+    parser.add_argument("--params",
+                        help="comma-separated overrides, e.g. n=12,trials=2000,threshold=0.05")
     parser.add_argument("--exhaustive", action="store_true",
                         help="enumerate the cube instead of sampling (n <= 24)")
     args = parser.parse_args(argv)
 
     params = parse_param_overrides(args.params)
-    if args.threshold is not None:
-        params = replace(params, threshold=args.threshold)
+    # The hashed message's stand-in at reduced variable counts: 20 terms of degree 1..3.
+    message_params = replace(params, t=20, b=3)
 
     honest_gaps, forged_gaps = [], []
     honest_accepts = forged_accepts = 0
     for i in range(args.cycles):
         rng = random.Random(args.seed + i)
         priv, pub = keygen(params, rng)
-        q = synth_message_poly(params.n + 1, rng)
+        q = sample_sparse(message_params, params.n + 1, rng)
         honest = sign_poly(priv, params, q, rng)
         wrong = PrivateKey(sample_automorphism(params, random.Random(args.seed + 500_000 + i)))
         forged = sign_poly(wrong, params, q, random.Random(args.seed + 600_000 + i))

@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import SamplingError
-from .params import parse_param_overrides
+from .params import params_to_line, parse_param_overrides
 from .scheme import (
     keygen,
     private_key_from_text,
@@ -52,7 +52,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     priv_path = Path(f"{args.out}.key")
     pub_path.write_text(public_key_to_text(pub))
     priv_path.write_text(private_key_to_text(params, priv))
-    print(f"params n={params.n} t={params.t} b={params.b} d={params.d} r={params.r}")
+    print(params_to_line(params))
     print(f"wrote {pub_path} and {priv_path}")
     return 0
 

@@ -25,7 +25,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import CapacityError, DimensionError
-from .poly import Poly, indices_of
+from .poly import INT64_SAFE_BOUND, Poly, indices_of
 
 EXACT_NVARS_LIMIT = 25
 # Points per enumeration block: 2**16 int64 values are 512 KiB.
@@ -33,8 +33,6 @@ CUBE_BLOCK = 1 << 16
 # Rows one carry-save fold adds into a group's ones, twos and fours planes;
 # the adder network in _fold is written for eight.
 GROUP_ROWS = 8
-# Value bound under which int64 arithmetic stays exact.
-INT64_SAFE_BOUND = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -226,15 +224,24 @@ def _signed_powers(c: int) -> list[int]:
 
 
 def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
-    """Per-point values of two's-complement planes; the last plane is the sign."""
+    """Per-point values of two's-complement planes; the last plane is the sign.
+
+    Up to 63 planes they are int64.  Wider planes are sign-extended to whole
+    bytes, and each point's packed bits are read as one int, in linear time.
+    """
     width = len(planes)
+    if width > 63:
+        planes = planes + [planes[-1]] * (-width % 8)
     nbytes = (npoints + 7) // 8
     raw = b"".join(plane.to_bytes(nbytes, "little") for plane in planes)
-    octets = np.frombuffer(raw, dtype=np.uint8).reshape(width, nbytes)
+    octets = np.frombuffer(raw, dtype=np.uint8).reshape(len(planes), nbytes)
     bits = np.unpackbits(octets, axis=1, count=npoints, bitorder="little")
-    dtype = np.int64 if width <= 63 else object
-    weights = np.array([1 << k for k in range(width - 1)] + [-(1 << (width - 1))], dtype=dtype)
-    return weights @ bits.astype(dtype)
+    if width > 63:
+        rows = np.packbits(bits.T, axis=1, bitorder="little")  # point j's bytes, low first
+        values = (int.from_bytes(row, "little", signed=True) for row in rows)
+        return np.fromiter(values, dtype=object, count=npoints)
+    weights = [1 << k for k in range(width - 1)] + [-(1 << (width - 1))]
+    return np.array(weights, dtype=np.int64) @ bits.astype(np.int64)
 
 
 def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:

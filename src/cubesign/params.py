@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from .errors import FormatError
 from .poly import NVARS_MAX
@@ -51,9 +51,8 @@ class SchemeParams:
             raise ValueError(f"threshold must be strictly between 0 and 1, got {self.threshold}")
 
 
-_FIELD_TYPES = {
-    "n": int, "t": int, "b": int, "d": int, "r": int, "trials": int, "threshold": float,
-}
+# Each field's name and value type, in field order; a default's type is its field's.
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(SchemeParams)}
 
 
 def _read_fields(items) -> dict[str, int | float]:
@@ -75,20 +74,15 @@ def _read_fields(items) -> dict[str, int | float]:
     return fields
 
 
-def parse_param_overrides(spec: str | None, base: SchemeParams | None = None) -> SchemeParams:
-    """Apply comma-separated ``key=value`` overrides on top of a base profile."""
-    params = base if base is not None else SchemeParams()
-    if not spec:
-        return params
-    items = [item for item in spec.replace(";", ",").split(",") if item.strip()]
-    return replace(params, **_read_fields(items))
+def parse_param_overrides(spec: str | None) -> SchemeParams:
+    """The default profile with comma- or semicolon-separated ``key=value`` overrides."""
+    items = (spec or "").replace(";", ",").split(",")
+    return SchemeParams(**_read_fields(item for item in items if item.strip()))
 
 
 def params_to_line(p: SchemeParams) -> str:
-    return (
-        f"params n={p.n} t={p.t} b={p.b} d={p.d} r={p.r}"
-        f" trials={p.trials} threshold={p.threshold!r}"
-    )
+    """``params`` then ``name=value`` for every field in field order, values by ``repr``."""
+    return " ".join(["params", *(f"{name}={getattr(p, name)!r}" for name in _FIELD_TYPES)])
 
 
 def params_from_line(line: str) -> SchemeParams:

@@ -29,6 +29,8 @@ NVARS_MAX = 64
 VECTOR_PAIRS = 1 << 10
 # Pairs per chunk of the vectorised product's outer arrays.
 CHUNK_PAIRS = 1 << 16
+# Value bound under which int64 arithmetic stays exact.
+INT64_SAFE_BOUND = 1 << 62
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -123,27 +125,24 @@ class Poly:
         out = dict(self.terms)
         for m, c in rhs.terms.items():
             out[m] = out.get(m, 0) + c
-        return Poly(self.nvars, out)
+        return Poly._unchecked(self.nvars, _drop_zeros(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._unchecked(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> Poly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in rhs.terms.items():
-            out[m] = out.get(m, 0) - c
-        return Poly(self.nvars, out)
+        return self + -rhs
 
     def __rsub__(self, other) -> Poly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs - self
+        return rhs + -self
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, int) and not isinstance(other, bool):
@@ -286,14 +285,14 @@ def _mul_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     """Term map of the product of two term maps, with no zero coefficients.
 
     From ``VECTOR_PAIRS`` pair products on, the product is summed in int64 by
-    ``_mul_terms_int64`` when sum|a| * sum|b| < 2**62: every coefficient of
-    the product, and every partial sum of its pair products, is bounded by
+    ``_mul_terms_int64`` when sum|a| * sum|b| < INT64_SAFE_BOUND: every coefficient
+    of the product, and every partial sum of its pair products, is bounded by
     that, so no sum can overflow.  Otherwise a dict loop sums Python ints.
     """
     if len(a) > len(b):
         a, b = b, a
     if len(a) * len(b) >= VECTOR_PAIRS and (
-        sum(map(abs, a.values())) * sum(map(abs, b.values())) < 1 << 62
+        sum(map(abs, a.values())) * sum(map(abs, b.values())) < INT64_SAFE_BOUND
     ):
         return _mul_terms_int64(a, b)
     out: dict[int, int] = {}
@@ -307,9 +306,9 @@ def _mul_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
 def _mul_terms_int64(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     """The product of two term maps by outer OR and outer product in numpy.
 
-    The caller guarantees sum|a| * sum|b| < 2**62.  Rows of a are taken
-    ``CHUNK_PAIRS // len(b)`` at a time, and each chunk's pairs are summed per
-    mask; the chunks' sums are summed per mask once more at the end.
+    The caller guarantees sum|a| * sum|b| < INT64_SAFE_BOUND.  Rows of a are
+    taken ``CHUNK_PAIRS // len(b)`` at a time, and each chunk's pairs are summed
+    per mask; the chunks' sums are summed per mask once more at the end.
     """
     import numpy as np
 

@@ -44,7 +44,8 @@ from .params import SchemeParams, params_from_line, params_to_line
 from .poly import Poly, poly_from_block, poly_from_text, poly_to_text, split_blocks
 
 PUBLIC_POLY_COUNT = 3
-CHALLENGE_NVARS = 4
+# One challenge variable per public polynomial, plus the message polynomial or signature.
+CHALLENGE_NVARS = PUBLIC_POLY_COUNT + 1
 
 
 @dataclass(frozen=True)
@@ -107,13 +108,11 @@ def sign_poly(
     params: SchemeParams,
     message_poly: Poly,
     rng: random.Random | None = None,
-    *,
-    tweak: Poly | None = None,
 ) -> Signature:
     """Sign an already-converted message polynomial in n + 1 variables.
 
-    The tweak parameter exists for deterministic tests; normally a fresh
-    0/1-valued polynomial over x_1..x_n is drawn per signature.
+    Each signature draws a fresh 0/1-valued tweak over x_1..x_n and applies
+    the private map extended by it (``extend_for_signing``) to the message.
     """
     if rng is None:
         rng = random.SystemRandom()
@@ -122,9 +121,7 @@ def sign_poly(
         raise DimensionError(
             f"message polynomial must have {m} variables, got {message_poly.nvars}"
         )
-    if tweak is None:
-        tweak = sample_indicator({m}, params, m, rng)
-    ext = extend_for_signing(priv.aut, tweak)
+    ext = extend_for_signing(priv.aut, sample_indicator({m}, params, m, rng))
     return Signature(ext.apply(message_poly))
 
 
@@ -144,9 +141,9 @@ def sign(
 
 
 def sample_challenge(rng: random.Random) -> Poly:
-    """Multilinear 4-variable combination with coefficients in -2..2, not all zero."""
+    """Multilinear CHALLENGE_NVARS-variable combination, coefficients in -2..2, not all zero."""
     while True:
-        p = Poly(CHALLENGE_NVARS, {mask: rng.randint(-2, 2) for mask in range(16)})
+        p = Poly(CHALLENGE_NVARS, {m: rng.randint(-2, 2) for m in range(1 << CHALLENGE_NVARS)})
         if p:
             return p
 

@@ -1,11 +1,14 @@
 import io
+import os
 import random
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
+import cubesign
 from cubesign.cli import main
 from cubesign.scheme import public_key_from_text, signature_from_text, verify
 
@@ -150,9 +153,12 @@ def test_analyze_without_files_still_counts_dimensions(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package these tests import, installed or not
+    src = str(Path(cubesign.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cubesign", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "keygen" in proc.stdout and "verify" in proc.stdout

@@ -310,6 +310,24 @@ def test_evaluate_batch_peak_memory_stays_small():
         assert peak < 4 * 2**20
 
 
+def test_evaluate_batch_reads_wide_values_in_bounded_memory():
+    # values of about 1,000 bits: an object array of every plane's bits,
+    # weighted and summed, peaks near 32 MB here
+    big = 10**300 - 1
+    p = Poly(32, {1 << i: big if i % 2 else -big for i in range(32)})
+    points = sample_points(32, 3000, random.Random(23))
+    tracemalloc.start()
+    try:
+        values = evaluate_batch(p, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    for j in range(0, 3000, 97):
+        point = sum(((column >> j) & 1) << i for i, column in enumerate(points.columns))
+        assert values[j] == p.evaluate(point)
+
+
 SUBCUBE_POLYS = [
     3 * v(1, 8) * v(2, 8) - v(3, 8) * v(8, 8) + 1 - 2 * v(5, 8) * v(6, 8) * v(7, 8),
     Poly.const(-7, 0),

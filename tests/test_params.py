@@ -43,24 +43,24 @@ def test_boundary_n():
 
 
 def test_parse_overrides():
-    p = parse_param_overrides("n=8, trials=64;threshold=0.1", SchemeParams())
+    p = parse_param_overrides("n=8, trials=64;threshold=0.1")
     assert (p.n, p.trials, p.threshold) == (8, 64, 0.1)
     # untouched fields keep their defaults
     assert (p.t, p.b, p.d, p.r) == (3, 3, 2, 1)
 
 
 def test_parse_overrides_empty_is_identity():
-    assert parse_param_overrides("", SchemeParams()) == SchemeParams()
-    assert parse_param_overrides(None, SchemeParams()) == SchemeParams()
+    assert parse_param_overrides("") == SchemeParams()
+    assert parse_param_overrides(None) == SchemeParams()
 
 
 def test_parse_overrides_rejects_garbage():
     with pytest.raises(ValueError):
-        parse_param_overrides("n", SchemeParams())
+        parse_param_overrides("n")
     with pytest.raises(ValueError):
-        parse_param_overrides("bogus=1", SchemeParams())
+        parse_param_overrides("bogus=1")
     with pytest.raises(ValueError):
-        parse_param_overrides("n=eight", SchemeParams())
+        parse_param_overrides("n=eight")
 
 
 def test_params_line_round_trip():

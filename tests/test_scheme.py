@@ -120,8 +120,8 @@ def test_signed_combination_is_automorphic_image():
     priv, pub = keygen(params, rng)
     q = synth_q(params.n + 1, rng, nterms=8)
     tweak = sample_indicator(set(), params, params.n, rng)
-    sig = sign_poly(priv, params, q, rng, tweak=tweak)
     ext = extend_for_signing(priv.aut, tweak)
+    sig = Signature(ext.apply(q))
 
     u = sample_challenge(random.Random(5))
     wide = params.n + 1
