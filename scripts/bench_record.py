@@ -34,10 +34,13 @@ End-to-end pairs of the two checkouts on one workload:
 
 runs both sides once per seed for the ``run_seconds`` of the checkout's
 ``BENCHMARK.json``, alternating which side runs first.  Each pair goes under
-``end_to_end/W/SEED``, and a per-metric summary of all pairs stored for W
-under ``end_to_end_summary/W``: the medians, the parent's interquartile range
-and the number of pairs the change wins.  Other entries already in ``FILE`` are
-kept in both modes.
+``end_to_end/W/SEED``.  The pairs stored for W whose two ``src_sha256`` match
+those of this invocation's runs are summarised per metric under
+``end_to_end_summary/W``, and the summary is printed: the medians, the
+parent's interquartile range, the number of pairs the change wins, whether
+a gain may be claimed and whether the metric stays within its
+``BENCHMARK.json`` bound (see ``summarize``).  Other entries already in
+``FILE`` are kept in both modes.
 """
 
 from __future__ import annotations
@@ -194,40 +197,68 @@ def end_to_end_side(checkout: Path, workload: str, seed: int, seconds: float) ->
     return side
 
 
-def summarize(pairs: dict, declared: list[dict]) -> dict:
-    """Per end-to-end metric: medians, the parent's IQR and the pairs the change wins."""
+def summarize(pairs: dict, declared: list[dict], shas: set[tuple[str, str]]) -> dict:
+    """Per end-to-end metric: medians, the parent's IQR, the pairs the change wins and verdicts.
+
+    Only pairs whose (parent, change) ``src_sha256`` is in ``shas`` count, so
+    pairs of other checkouts stored in the same file stay out.  ``claim``
+    holds when the change wins at least nine tenths of the pairs, ties
+    counting for neither, and its median beats the parent's by more than the
+    parent's IQR.  ``within_bound``, for a metric with a declared ``bound``,
+    holds when the change's median is no worse than the parent's by more
+    than that fraction of it.
+    """
     out = {}
+    pairs = [p for p in pairs.values()
+             if (p["parent"]["src_sha256"], p["change"]["src_sha256"]) in shas]
     for metric in declared:
         name, higher = metric["name"], metric["better"] == "higher"
-        both = [(p["parent"][name], p["change"][name]) for p in pairs.values()
+        both = [(p["parent"][name], p["change"][name]) for p in pairs
                 if name in p["parent"] and name in p["change"]]
         if not both:
             continue
         parent = [a for a, _ in both]
         q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
+        parent_median, change_median = statistics.median(parent), statistics.median(b for _, b in both)
+        gain = change_median - parent_median if higher else parent_median - change_median
+        wins = sum((b > a) if higher else (b < a) for a, b in both)
         out[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(b for _, b in both),
+            "parent_median": parent_median,
+            "change_median": change_median,
             "parent_iqr": q3 - q1,
-            "change_wins": sum((b > a) if higher else (b < a) for a, b in both),
+            "change_wins": wins,
             "pairs": len(both),
+            "claim": 10 * wins >= 9 * len(both) and gain > q3 - q1,
         }
+        if "bound" in metric:
+            out[name]["within_bound"] = gain >= -metric["bound"] * abs(parent_median)
     return out
+
+
+def print_summary(workload: str, summary: dict) -> None:
+    print(f"{workload}: metric parent_median change_median parent_iqr wins/pairs claim within_bound")
+    for name, s in summary.items():
+        print(f"  {name} {s['parent_median']:.4g} {s['change_median']:.4g} {s['parent_iqr']:.4g}"
+              f" {s['change_wins']}/{s['pairs']} {s['claim']} {s.get('within_bound', '-')}")
 
 
 def record_pairs(checkout: Path, parent: Path, workload: str, seeds: list[int], out: Path) -> dict:
     declared = json.loads((checkout / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
+    shas = set()
     for k, seed in enumerate(seeds):
         order = side_order(k)
         pair = {side: end_to_end_side(parent if side == "parent" else checkout, workload, seed, seconds)
                 for side in order}
+        shas.add((pair["parent"]["src_sha256"], pair["change"]["src_sha256"]))
         data = merge(out, {"end_to_end": {workload: {str(seed): {**pair, "ran_first": order[0]}}}})
     metrics = declared["end_to_end"] + [{"name": "error_frac", "better": "lower"}]
+    summary = summarize(data["end_to_end"][workload], metrics, shas)
+    print_summary(workload, summary)
     return merge(out, {
         "end_to_end_command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "end_to_end_revisions": {"parent": git_revision(parent), "change": git_revision(checkout)},
-        "end_to_end_summary": {workload: summarize(data["end_to_end"][workload], metrics)},
+        "end_to_end_summary": {workload: summary},
     })
 
 

@@ -7,6 +7,12 @@ up to ``EXACT_NVARS_LIMIT`` variables, in aligned subcube blocks of at most
 transform of the polynomial's coefficients: k passes over 2**k entries, so
 a block costs O(k * 2**k) whatever the term count.
 
+One rule picks the integer type of enumerated values: ``exact_dtype`` of a
+bound on their magnitude, the narrowest of int8, int16, int32 and int64
+that holds it, or Python ints past int64.  The zeta passes run in it for
+the polynomial's cube bound, and the verifier combines component values in
+it for the challenge's ``value_bound``.
+
 Sample points are drawn as bit-sliced columns, one ``getrandbits`` per
 variable from the caller's generator, so a seed fixes the run.
 ``sample_points`` wraps them in a ``PointSet``, shared by every polynomial
@@ -33,6 +39,9 @@ CUBE_BLOCK = 1 << 16
 # Rows one carry-save fold adds into a group's ones, twos and fours planes;
 # the adder network in _fold is written for eight.
 GROUP_ROWS = 8
+# Each integer dtype with the bound below which its values are exact.
+_EXACT_DTYPES = ((1 << 7, np.int8), (1 << 15, np.int16), (1 << 31, np.int32),
+                 (INT64_SAFE_BOUND, np.int64))
 
 
 @dataclass(frozen=True)
@@ -86,25 +95,41 @@ def _cube_bound(p: Poly) -> int:
     return sum(map(abs, p.terms.values()))
 
 
-def fits_int64(p: Poly, inputs: Sequence[Poly] | None = None) -> bool:
-    """Whether int64 arithmetic gives exact values of p on the cube.
+def exact_dtype(bound: int) -> type:
+    """The narrowest integer dtype exact for values of magnitude up to bound.
+
+    int8, int16 or int32 below 2**7, 2**15 or 2**31; int64 below
+    ``INT64_SAFE_BOUND``; ``object`` (Python ints) beyond.  numpy integer
+    sums and products wrap silently, so only the final values, not the
+    partial ones, have to lie within the bound.
+    """
+    for limit, dtype in _EXACT_DTYPES:
+        if bound < limit:
+            return dtype
+    return object
+
+
+def value_bound(p: Poly, inputs: Sequence[Poly] | None = None) -> int:
+    """A bound on |p| over the cube: sum |c|.
 
     With ``inputs``, the values are those of p with inputs[i-1] in place of
     x_i.  On the cube |q| <= sum |c| for any q, and a product is bounded by
     the product of its factors' bounds.  An input's bound counts as at least
-    1, so the bound also covers every coefficient of p, which is cast to
-    int64 even where an input is zero.  int64 sums and products wrap modulo
-    2**64, so only the final value has to stay in range.
+    1, so the bound also covers every coefficient of p, which is cast to the
+    values' dtype even where an input is zero.
     """
     if inputs is None:
-        bound = _cube_bound(p)
-    else:
-        bounds = [max(1, _cube_bound(q)) for q in inputs]
-        bound = sum(
-            abs(c) * math.prod(bounds[i - 1] for i in indices_of(mask))
-            for mask, c in p.terms.items()
-        )
-    return bound < INT64_SAFE_BOUND
+        return _cube_bound(p)
+    bounds = [max(1, _cube_bound(q)) for q in inputs]
+    return sum(
+        abs(c) * math.prod(bounds[i - 1] for i in indices_of(mask))
+        for mask, c in p.terms.items()
+    )
+
+
+def fits_int64(p: Poly, inputs: Sequence[Poly] | None = None) -> bool:
+    """Whether int64 arithmetic gives exact values of p (of p on ``inputs``) on the cube."""
+    return value_bound(p, inputs) < INT64_SAFE_BOUND
 
 
 def _subcube_width(points: range) -> int:
@@ -131,17 +156,16 @@ def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
     entry whose index also has that bit (the zeta transform).
 
     Every entry is a sum of some of p's coefficients, so the cube bound
-    sum |c| bounds it, and the passes are exact in int32 below 2**31.  A
-    pass over bit i adds rows of 2**i entries, and numpy is slow on short
-    rows.  So with h = k // 2 the block starts transposed, as j's low h bits
-    above its high k - h bits, and the low bits' passes run there as bits
+    sum |c| bounds it, and the passes run in ``exact_dtype`` of that bound.
+    The block comes back as int64, or as Python ints past int64.  A pass
+    over bit i adds rows of 2**i entries, and numpy is slow on short rows.
+    So with h = k // 2 the block starts transposed, as j's low h bits above
+    its high k - h bits, and the low bits' passes run there as bits
     k-h..k-1.  One copy transposes the block back for the high bits' passes.
     """
     low = (1 << k) - 1
     top = np.uint64(start | low)
-    bound = _cube_bound(p)
-    dtype = np.int64 if bound < INT64_SAFE_BOUND else object
-    work = np.int32 if bound < 1 << 31 else dtype
+    work = exact_dtype(_cube_bound(p))
     masks = np.fromiter(p.terms, dtype=np.uint64, count=len(p.terms))
     coeffs = np.array(list(p.terms.values()), dtype=work)
     inside = (masks | top) == top
@@ -152,7 +176,7 @@ def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
     _zeta_passes(swapped, k - h, k)
     values = swapped.reshape(1 << h, 1 << (k - h)).T.copy().reshape(-1)
     _zeta_passes(values, h, k)
-    return values.astype(dtype, copy=False)
+    return values if work is object else values.astype(np.int64, copy=False)
 
 
 class PointSet:

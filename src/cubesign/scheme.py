@@ -38,7 +38,7 @@ from .automorphisms import (
     sample_indicator,
     sample_sparse,
 )
-from .counting import PointSet, cube_blocks, evaluate_batch, fits_int64, sample_points
+from .counting import PointSet, cube_blocks, evaluate_batch, exact_dtype, sample_points, value_bound
 from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
 from .poly import Poly, poly_from_block, poly_from_text, poly_to_text, split_blocks
@@ -182,13 +182,22 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
     shifted by every multiple of 2**w below the cube's size.  A point set
     is one block with the single shift 0.
 
-    Whether int64 combines the values exactly is checked once.  When it does,
-    every component the challenge reads has a cube bound below 2**62, so its
-    values come back as int64; the combine never reads the others.
+    The combine runs in ``exact_dtype`` of the challenge's ``value_bound``
+    on the components, and each block's component values are cast to it
+    once.  Every coefficient lies within that bound, so a Python-int
+    coefficient times a cast array stays exact in its dtype.  A component
+    the challenge reads has its own bound within the challenge's, so its
+    values survive the cast.  The others' values may wrap in it, and values
+    already in Python ints are left as they are; the combine never reads
+    either.
     """
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
-    exact = fits_int64(challenge, components)
+    dtype = exact_dtype(value_bound(challenge, components))
+
+    def cast(values: np.ndarray) -> np.ndarray:
+        return values if values.dtype == object else values.astype(dtype, copy=False)
+
     coeffs = [challenge.terms.get(mask, 0) for mask in range(1 << challenge.nvars)]
     *rest, last = components
     if points is None:
@@ -201,14 +210,10 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
     half = len(coeffs) // 2
     count = 0
     for block in blocks:
-        vals = [evaluate_batch(p, block) for p in rest]
-        if not exact:
-            vals = [v.astype(object) for v in vals]
+        vals = [cast(evaluate_batch(p, block)) for p in rest]
         f0, f1 = _nested_combine(coeffs[:half], vals), _nested_combine(coeffs[half:], vals)
         for s in shifts:
-            y = evaluate_batch(last, range(block.start + s, block.stop + s) if s else block)
-            if not exact:
-                y = y.astype(object)
+            y = cast(evaluate_batch(last, range(block.start + s, block.stop + s) if s else block))
             value = f1 * y
             value += f0
             count += int(np.count_nonzero(value > 0))

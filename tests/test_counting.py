@@ -15,6 +15,7 @@ from cubesign.counting import (
     ValueCounts,
     estimate_positive_proportion,
     evaluate_batch,
+    exact_dtype,
     exact_value_counts,
     fits_int64,
     required_trials,
@@ -333,11 +334,27 @@ SUBCUBE_POLYS = [
     Poly.const(-7, 0),
     # the cube bound passes 2**62, forcing exact Python integers
     Poly(8, {0b11: INT64_SAFE_BOUND - 1, 0b10000100: -(INT64_SAFE_BOUND - 3), 0: 5}),
-    # cube bounds 2**31 - 1 and 2**31, both reached at the all-ones point:
-    # the passes may run in int32 for the first only
+    # cube bounds 2**b - 1 and 2**b for b = 31, 7, 15, each reached at the
+    # all-ones point: the passes may run in int32, int8 or int16 for the
+    # first of a pair only
     Poly(8, {0b1: 2**30, 0b110: 2**29, 0b10000000: 2**28, 0b1010000: 2**28 - 1}),
     Poly(8, {0b1: 2**30, 0b110: 2**29, 0b10000000: 2**28, 0b1010000: 2**28}),
+    Poly(8, {0b1: 2**6, 0b110: 2**5, 0b10000000: 2**4, 0b1010000: 2**4 - 1}),
+    Poly(8, {0b1: 2**6, 0b110: 2**5, 0b10000000: 2**4, 0b1010000: 2**4}),
+    Poly(8, {0b1: 2**14, 0b110: 2**13, 0b10000000: 2**12, 0b1010000: 2**12 - 1}),
+    Poly(8, {0b1: 2**14, 0b110: 2**13, 0b10000000: 2**12, 0b1010000: 2**12}),
 ]
+
+
+@pytest.mark.parametrize("bound, dtype", [
+    (0, np.int8), (2**7 - 1, np.int8), (2**7, np.int16), (2**15 - 1, np.int16),
+    (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64),
+    (INT64_SAFE_BOUND - 1, np.int64), (INT64_SAFE_BOUND, object), (1 << 70, object),
+])
+def test_exact_dtype_is_the_narrowest_type_holding_the_bound(bound, dtype):
+    assert exact_dtype(bound) is dtype
+    if dtype is not object:
+        assert np.iinfo(dtype).min < -bound and bound <= np.iinfo(dtype).max
 
 
 @pytest.mark.parametrize("p", SUBCUBE_POLYS)

@@ -10,9 +10,11 @@ from cubesign.automorphisms import extend_for_signing, sample_automorphism, samp
 from cubesign.counting import (
     cube_blocks,
     evaluate_batch,
+    exact_dtype,
     exact_value_counts,
     fits_int64,
     sample_points,
+    value_bound,
 )
 from cubesign.errors import CapacityError, DimensionError, FormatError
 from cubesign.params import SchemeParams
@@ -211,9 +213,14 @@ def test_exhaustive_wrong_key_counts_are_pinned():
     assert not rep.accepted
 
 
-def cube_recount(challenge, components):
-    """Points of the whole cube where challenge(components) > 0, by plain numpy."""
-    cube = np.arange(1 << components[0].nvars, dtype=np.int64)
+def cube_recount(challenge, components, points=None):
+    """Points of the whole cube, or of ``points``, where challenge(components) > 0.
+
+    Component values are plain numpy int64 sums, combined as Python ints.
+    """
+    if points is None:
+        points = range(1 << components[0].nvars)
+    cube = np.array(points, dtype=np.int64)
     values = []
     for p in components:
         v = np.zeros(len(cube), dtype=np.int64)
@@ -329,18 +336,55 @@ def test_challenge_exact_path_over_two_cube_blocks():
 
 
 def test_challenge_combine_never_reads_a_component_the_challenge_does_not_use():
-    # the challenge has no term on the huge component, so int64 is exact for
-    # the combine, though that component's values come back as Python ints
+    # the challenge has no term on the huge component, so the combine runs in
+    # the read components' type: the huge component's values come back as
+    # Python ints and are left so, or as int64 and wrap in the cast, unread
     nv = 6
-    big = Poly(nv, {0b1: 1 << 70, 0b110: -3})
     x = [Poly.variable(i, nv) for i in range(1, nv + 1)]
-    components = [Poly.zero(nv), x[1] - x[2], 2 * x[3] + 1, big]
     challenge = Poly(CHALLENGE_NVARS, {0: -1, 0b0010: 1, 0b0100: 1, 0b0011: 2})
-    assert fits_int64(challenge, components)
-    for points in (None, point_set(range(1 << nv), nv)):
-        assert evaluate_batch(big, range(1 << nv) if points is None else points).dtype == object
-        expected = pointwise_positive(challenge, components, range(1 << nv))
-        assert _challenge_positive(challenge, components, points) == expected
+    for scale, dtype in ((1, np.int8), (1 << 10, np.int16), (1 << 20, np.int32),
+                         (1 << 40, np.int64)):
+        for big_bits in (70, 40):
+            big = Poly(nv, {0b1: 1 << big_bits, 0b110: -3})
+            components = [Poly.zero(nv), scale * (x[1] - x[2]), scale * (2 * x[3] + 1), big]
+            assert exact_dtype(value_bound(challenge, components)) is dtype
+            for points in (None, point_set(range(1 << nv), nv)):
+                values = evaluate_batch(big, range(1 << nv) if points is None else points)
+                assert values.dtype == (object if big_bits == 70 else np.int64)
+                expected = pointwise_positive(challenge, components, range(1 << nv))
+                assert _challenge_positive(challenge, components, points) == expected
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("bits, side, dtype", [(15, 31, np.int16), (31, 1290, np.int32)],
+                         ids=["int16", "int32"])
+def test_challenge_combine_reaches_its_bound_in_a_narrow_type(bits, side, dtype, sign):
+    # challenge x1*x2*x3 + d*x4 on components of positive coefficients that
+    # sum to side, side, side and 1: at the all-ones point every term takes
+    # its bound, so the combined value is sign * (2**bits - 1), the largest
+    # magnitude the narrow type holds.  A narrower type would wrap it.
+    rng = random.Random(bits)
+    nv = 8
+    ones = (1 << nv) - 1
+
+    def sized(total):
+        # distinct masks, positive coefficients summing to total
+        masks = rng.sample(range(1, 1 << nv), 5)
+        cuts = sorted(rng.sample(range(1, total), len(masks) - 1))
+        return Poly(nv, {m: b - a for m, a, b in zip(masks, [0, *cuts], [*cuts, total])})
+
+    components = [sized(side), sized(side), sized(side), Poly.variable(nv, nv)]
+    d = (1 << bits) - 1 - side ** 3
+    assert d > 0
+    challenge = Poly(CHALLENGE_NVARS, {0b0111: sign, 0b1000: sign * d})
+    assert value_bound(challenge, components) == (1 << bits) - 1
+    assert exact_dtype(value_bound(challenge, components)) is dtype
+    assert combine(challenge, components).evaluate(ones) == sign * ((1 << bits) - 1)
+    samples = [rng.getrandbits(nv) for _ in range(300)] + [ones]
+    for given, points in ((point_set(samples, nv), samples), (None, None)):
+        expected = cube_recount(challenge, components, points)
+        assert _challenge_positive(challenge, components, given) == expected
+    assert (expected > 0) == (sign > 0)
 
 
 def test_challenge_combine_bounds_coefficients_on_a_zero_component():

@@ -54,21 +54,65 @@ def test_bench_record_medians_and_merge(tmp_path):
     assert json.loads(out.read_text()) == data
 
 
-def test_bench_record_summarizes_pairs():
+def test_bench_record_summarizes_pairs(capsys):
     bench = load("bench_record")
-    pairs = {str(s): {"parent": {"ops": p, "ms": 10.0}, "change": {"ops": c, "ms": 9.0}}
+    pairs = {str(s): {"parent": {"ops": p, "ms": 10.0, "src_sha256": "p"},
+                      "change": {"ops": c, "ms": 9.0, "src_sha256": "c"}}
              for s, p, c in ((61, 10.0, 15.0), (62, 12.0, 11.0), (63, 11.0, 16.0))}
-    got = bench.summarize(pairs, [{"name": "ops", "better": "higher"},
-                                  {"name": "ms", "better": "lower"},
-                                  {"name": "missing", "better": "lower"}])
+    # a pair of another change checkout left in the file does not count
+    pairs["60"] = {"parent": {"ops": 10.0, "ms": 10.0, "src_sha256": "p"},
+                   "change": {"ops": 1.0, "ms": 99.0, "src_sha256": "old"}}
+    declared = [{"name": "ops", "better": "higher", "bound": 0.1},
+                {"name": "ms", "better": "lower", "bound": 0.1},
+                {"name": "missing", "better": "lower"}]
+    got = bench.summarize(pairs, declared, {("p", "c")})
     assert got["ops"] == {"parent_median": 11.0, "change_median": 15.0, "parent_iqr": 2.0,
-                          "change_wins": 2, "pairs": 3}
+                          "change_wins": 2, "pairs": 3, "claim": False, "within_bound": True}
+    # 3 of 3 wins, by a median of 1.0 against the parent's IQR of 0
     assert got["ms"]["change_wins"] == 3
+    assert got["ms"]["claim"] is True and got["ms"]["within_bound"] is True
     assert "missing" not in got
+    # 9 of 10 wins by more than the IQR is a claim; a loss past the bound is not within it
+    ten = {str(s): {"parent": {"ops": 10.0 + s % 2, "ms": 10.0, "src_sha256": "p"},
+                    "change": {"ops": 10.0 if s == 0 else 20.0, "ms": 11.5, "src_sha256": "c"}}
+           for s in range(10)}
+    got = bench.summarize(ten, declared, {("p", "c")})
+    assert got["ops"]["change_wins"] == 9 and got["ops"]["claim"] is True
+    assert got["ms"]["within_bound"] is False and got["ms"]["claim"] is False
+    bench.print_summary("verify", got)
+    assert capsys.readouterr().out.splitlines()[1].split() == [
+        "ops", "10.5", "20", "1", "9/10", "True", "True"]
     assert bench.parse_seeds("61-63") == [61, 62, 63]
     assert bench.parse_seeds("5,7") == [5, 7]
     with pytest.raises(ValueError):
         bench.parse_seeds("63-61")
+
+
+def test_bench_record_pairs_summarize_only_this_invocations_checkouts(tmp_path, monkeypatch, capsys):
+    bench = load("bench_record")
+
+    def fake_side(checkout, workload, seed, seconds):
+        return {"ops_per_s_norm": 20.0 if checkout.name == "change" else 10.0,
+                "failed": 0, "attempted": 5, "src_sha256": checkout.name}
+
+    monkeypatch.setattr(bench, "end_to_end_side", fake_side)
+    monkeypatch.setattr(bench, "git_revision", lambda checkout: checkout.name)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "ops_per_s_norm", "better": "higher", "bound": 0.2}]}))
+    out = tmp_path / "BENCH.json"
+    # a pair an earlier change checkout left in the file
+    stale = {"parent": {"ops_per_s_norm": 10.0, "src_sha256": "parent"},
+             "change": {"ops_per_s_norm": 1.0, "src_sha256": "earlier"}}
+    bench.merge(out, {"end_to_end": {"verify": {"60": stale}}})
+    assert bench.main(["--checkout", str(tmp_path / "change"), "--parent", str(tmp_path / "parent"),
+                       "--out", str(out), "--workload", "verify", "--seeds", "61-62"]) == 0
+    data = json.loads(out.read_text())
+    assert set(data["end_to_end"]["verify"]) == {"60", "61", "62"}
+    summary = data["end_to_end_summary"]["verify"]["ops_per_s_norm"]
+    assert (summary["pairs"], summary["change_wins"], summary["change_median"]) == (2, 2, 20.0)
+    assert "ops_per_s_norm 10 20 0 2/2 True True" in capsys.readouterr().out
 
 
 def test_bench_record_interleaves_traced_runs(tmp_path, monkeypatch):
