@@ -209,11 +209,11 @@ def summarize(pairs: dict, declared: list[dict], shas: set[tuple[str, str]]) -> 
     than that fraction of it.
     """
     out = {}
-    pairs = [p for p in pairs.values()
-             if (p["parent"]["src_sha256"], p["change"]["src_sha256"]) in shas]
+    kept = [p for p in pairs.values()
+            if (p["parent"]["src_sha256"], p["change"]["src_sha256"]) in shas]
     for metric in declared:
         name, higher = metric["name"], metric["better"] == "higher"
-        both = [(p["parent"][name], p["change"][name]) for p in pairs
+        both = [(p["parent"][name], p["change"][name]) for p in kept
                 if name in p["parent"] and name in p["change"]]
         if not both:
             continue
