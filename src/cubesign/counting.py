@@ -9,9 +9,10 @@ a block costs O(k * 2**k) whatever the term count.
 
 One rule picks the integer type of enumerated values: ``exact_dtype`` of a
 bound on their magnitude, the narrowest of int8, int16, int32 and int64
-that holds it, or Python ints past int64.  The zeta passes run in it for
-the polynomial's cube bound, and the verifier combines component values in
-it for the challenge's ``value_bound``.
+that holds it, or Python ints past int64.  ``value_bound`` gives the bound.
+The zeta passes run in, and a block comes back in, the type of the
+polynomial's cube bound; the verifier combines a block's component values
+in the type of the challenge's bound over the magnitudes they take there.
 
 Sample points are drawn as bit-sliced columns, one ``getrandbits`` per
 variable from the caller's generator, so a seed fixes the run.
@@ -34,7 +35,7 @@ from .errors import CapacityError, DimensionError
 from .poly import INT64_SAFE_BOUND, Poly, indices_of
 
 EXACT_NVARS_LIMIT = 25
-# Points per enumeration block: 2**16 int64 values are 512 KiB.
+# Points per enumeration block: 2**16 values are 64 KiB in int8, 512 KiB in int64.
 CUBE_BLOCK = 1 << 16
 # Rows one carry-save fold adds into a group's ones, twos and fours planes;
 # the adder network in _fold is written for eight.
@@ -91,10 +92,6 @@ def exact_value_counts(p: Poly) -> ValueCounts:
     return ValueCounts(pos, (1 << p.nvars) - pos - neg, neg)
 
 
-def _cube_bound(p: Poly) -> int:
-    return sum(map(abs, p.terms.values()))
-
-
 def exact_dtype(bound: int) -> type:
     """The narrowest integer dtype exact for values of magnitude up to bound.
 
@@ -109,27 +106,23 @@ def exact_dtype(bound: int) -> type:
     return object
 
 
-def value_bound(p: Poly, inputs: Sequence[Poly] | None = None) -> int:
-    """A bound on |p| over the cube: sum |c|.
+def value_bound(p: Poly, bounds: Sequence[int] | None = None) -> int:
+    """A bound on |p| over the cube, sum |c|, or on inputs bounded by ``bounds``.
 
-    With ``inputs``, the values are those of p with inputs[i-1] in place of
-    x_i.  On the cube |q| <= sum |c| for any q, and a product is bounded by
-    the product of its factors' bounds.  An input's bound counts as at least
-    1, so the bound also covers every coefficient of p, which is cast to the
-    values' dtype even where an input is zero.
+    With ``bounds``, the values are those of p with an input of magnitude at
+    most bounds[i-1] in place of x_i: a term is bounded by |c| times the
+    product of its inputs' bounds.  On the cube |q| <= sum |c| for any q, so
+    ``value_bound(q)`` bounds q as an input.  An input's bound counts as at
+    least 1, so the bound also covers every coefficient of p, which is cast
+    to the values' dtype even where an input is zero.
     """
-    if inputs is None:
-        return _cube_bound(p)
-    bounds = [max(1, _cube_bound(q)) for q in inputs]
+    if bounds is None:
+        return sum(map(abs, p.terms.values()))
+    bounds = [max(1, b) for b in bounds]
     return sum(
         abs(c) * math.prod(bounds[i - 1] for i in indices_of(mask))
         for mask, c in p.terms.items()
     )
-
-
-def fits_int64(p: Poly, inputs: Sequence[Poly] | None = None) -> bool:
-    """Whether int64 arithmetic gives exact values of p (of p on ``inputs``) on the cube."""
-    return value_bound(p, inputs) < INT64_SAFE_BOUND
 
 
 def _subcube_width(points: range) -> int:
@@ -156,18 +149,18 @@ def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
     entry whose index also has that bit (the zeta transform).
 
     Every entry is a sum of some of p's coefficients, so the cube bound
-    sum |c| bounds it, and the passes run in ``exact_dtype`` of that bound.
-    The block comes back as int64, or as Python ints past int64.  A pass
-    over bit i adds rows of 2**i entries, and numpy is slow on short rows.
-    So with h = k // 2 the block starts transposed, as j's low h bits above
-    its high k - h bits, and the low bits' passes run there as bits
+    sum |c| bounds it.  The passes run in ``exact_dtype`` of that bound, and
+    the block comes back in it: int8 to int64, or Python ints past int64.
+    A pass over bit i adds rows of 2**i entries, and numpy is slow on short
+    rows.  So with h = k // 2 the block starts transposed, as j's low h bits
+    above its high k - h bits, and the low bits' passes run there as bits
     k-h..k-1.  One copy transposes the block back for the high bits' passes.
     """
     low = (1 << k) - 1
     top = np.uint64(start | low)
-    work = exact_dtype(_cube_bound(p))
+    work = exact_dtype(value_bound(p))
     masks = np.fromiter(p.terms, dtype=np.uint64, count=len(p.terms))
-    coeffs = np.array(list(p.terms.values()), dtype=work)
+    coeffs = np.fromiter(p.terms.values(), dtype=work, count=len(p.terms))
     inside = (masks | top) == top
     j = (masks[inside] & np.uint64(low)).astype(np.intp)
     h = k // 2
@@ -176,7 +169,7 @@ def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
     _zeta_passes(swapped, k - h, k)
     values = swapped.reshape(1 << h, 1 << (k - h)).T.copy().reshape(-1)
     _zeta_passes(values, h, k)
-    return values if work is object else values.astype(np.int64, copy=False)
+    return values
 
 
 class PointSet:
@@ -272,8 +265,10 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     """Values of p at a point set, or on an aligned subcube.
 
     A range must be an aligned subcube ``range(s, s + 2**k)``, as from
-    ``cube_blocks``; it goes through the zeta transform.  A ``PointSet``
-    narrower than p raises ``DimensionError``; any other input ``TypeError``.
+    ``cube_blocks``; it goes through the zeta transform, and its values come
+    back in ``exact_dtype`` of p's cube bound, int8 to int64 or ``object``.
+    A ``PointSet`` narrower than p raises ``DimensionError``; any other
+    input ``TypeError``.
 
     Points are bit-sliced (Biham, FSE 1997): one Python int per variable,
     whose bit j is that variable at point j.  A term covers the AND of its

@@ -38,7 +38,15 @@ from .automorphisms import (
     sample_indicator,
     sample_sparse,
 )
-from .counting import PointSet, cube_blocks, evaluate_batch, exact_dtype, sample_points, value_bound
+from .counting import (
+    CUBE_BLOCK,
+    PointSet,
+    cube_blocks,
+    evaluate_batch,
+    exact_dtype,
+    sample_points,
+    value_bound,
+)
 from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
 from .poly import Poly, poly_from_block, poly_from_text, poly_to_text, split_blocks
@@ -171,6 +179,11 @@ def _nested_combine(coeffs: list[int], vals: list[np.ndarray]) -> np.ndarray | i
     return high
 
 
+def _magnitude(values: np.ndarray) -> int:
+    """The largest |v| over the values."""
+    return max(int(values.max()), -int(values.min()))
+
+
 def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSet | None) -> int:
     """Count points where the challenge of the component values is positive.
 
@@ -178,44 +191,58 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
     widest component.  The challenge is split on its last variable y as
     f0 + y * f1, where f0 and f1 combine the other components.  The cube is
     walked in the blocks of the widest of those, in w variables: each block
-    evaluates them, f0 and f1 once, and the last component on the block
-    shifted by every multiple of 2**w below the cube's size.  A point set
-    is one block with the single shift 0.
+    evaluates them, f0 and f1 once.  The last component, y, is evaluated in
+    blocks of min(CUBE_BLOCK, 2**top) points, top the cube's width, each
+    viewed as rows of 2**w points lined up with that block: the block's own
+    points and their shifts, by multiples of the larger of the y block and
+    2**w, as far as the cube reaches.  A cube of at most CUBE_BLOCK points
+    is one y block.  A point set is one block, and y on it one row.
 
-    The combine runs in ``exact_dtype`` of the challenge's ``value_bound``
-    on the components, and each block's component values are cast to it
-    once.  Every coefficient lies within that bound, so a Python-int
-    coefficient times a cast array stays exact in its dtype.  A component
-    the challenge reads has its own bound within the challenge's, so its
-    values survive the cast.  The others' values may wrap in it, and values
-    already in Python ints are left as they are; the combine never reads
-    either.
+    The combine type is chosen per block: ``exact_dtype`` of the
+    challenge's ``value_bound`` over the largest magnitudes the components
+    the challenge reads take on the block.  f0 and f1 run in the type of
+    that bound with |y| taken as 1, which covers both; each y block is cast
+    to the type of the bound with its own magnitude, which is never
+    narrower.  So each read component is cast once.  Every final value and
+    every coefficient lies within the bound, and numpy arithmetic wraps, so
+    the values are exact.  The challenge never multiplies a component it
+    does not read, so such values are neither reduced nor cast, and may
+    stay Python ints.
     """
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
-    dtype = exact_dtype(value_bound(challenge, components))
-
-    def cast(values: np.ndarray) -> np.ndarray:
-        return values if values.dtype == object else values.astype(dtype, copy=False)
-
+    reads = [any(mask >> i & 1 for mask in challenge.terms) for i in range(challenge.nvars)]
     coeffs = [challenge.terms.get(mask, 0) for mask in range(1 << challenge.nvars)]
+    half = len(coeffs) // 2
     *rest, last = components
     if points is None:
         width = max(p.nvars for p in rest)
         top = max(width, last.nvars)
         cube_blocks(top)  # the enumeration limit holds for the whole cube walked
-        blocks, shifts = cube_blocks(width), range(0, 1 << top, 1 << width)
+        size = min(CUBE_BLOCK, 1 << top)
+        blocks, shifts = cube_blocks(width), range(0, 1 << top, max(size, 1 << width))
     else:
         blocks, shifts = [points], [0]
-    half = len(coeffs) // 2
     count = 0
     for block in blocks:
-        vals = [cast(evaluate_batch(p, block)) for p in rest]
+        vals = [evaluate_batch(p, block) for p in rest]
+        bounds = [_magnitude(v) if r else 0 for v, r in zip(vals, reads)]
+        dtype = exact_dtype(value_bound(challenge, [*bounds, 1]))
+        vals = [v.astype(dtype, copy=False) if r else v for v, r in zip(vals, reads)]
         f0, f1 = _nested_combine(coeffs[:half], vals), _nested_combine(coeffs[half:], vals)
         for s in shifts:
-            y = cast(evaluate_batch(last, range(block.start + s, block.stop + s) if s else block))
-            value = f1 * y
-            value += f0
+            if points is None:
+                start = block.start + s
+                y = evaluate_batch(last, range(start, start + size)).reshape(-1, len(block))
+            else:
+                y = evaluate_batch(last, points)
+            if reads[-1]:
+                y = y.astype(exact_dtype(value_bound(challenge, [*bounds, _magnitude(y)])),
+                             copy=False)
+                value = f1 * y
+                value += f0
+            else:
+                value = np.broadcast_to(f0, y.shape)
             count += int(np.count_nonzero(value > 0))
     return count
 

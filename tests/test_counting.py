@@ -17,10 +17,10 @@ from cubesign.counting import (
     evaluate_batch,
     exact_dtype,
     exact_value_counts,
-    fits_int64,
     required_trials,
     sample_points,
     sample_tuple_chunks,
+    value_bound,
 )
 from cubesign.errors import CapacityError, DimensionError
 from cubesign.poly import Poly
@@ -161,7 +161,7 @@ def test_evaluate_batch_exact_fallback_for_huge_coefficients():
     terms = {rng.getrandbits(12): rng.randint(-3, 3) for _ in range(300)}
     terms[0b101] = big
     for p in (big * v(1, 4) - (big - 1) * v(2, 4), Poly(12, terms)):
-        assert not fits_int64(p)
+        assert not value_bound(p) < INT64_SAFE_BOUND
         rng = random.Random(3)
         masks = [rng.getrandbits(p.nvars) for _ in range(700)]
         values = evaluate_batch(p, point_set(masks, p.nvars))
@@ -365,7 +365,7 @@ def test_evaluate_batch_on_aligned_subcubes_matches_pointwise(p):
         for start in range(0, total, 2 ** k):
             block = range(start, start + 2 ** k)
             values = evaluate_batch(p, block)
-            assert values.dtype == (np.int64 if fits_int64(p) else object)
+            assert values.dtype == exact_dtype(value_bound(p))
             assert values.tolist() == [p.evaluate(x) for x in block]
 
 
@@ -385,7 +385,7 @@ def test_evaluate_batch_on_a_full_block_matches_numpy():
     for mask, c in terms.items():
         expected += c * ((points & mask) == mask)
     values = evaluate_batch(p, block)
-    assert values.dtype == np.int64
+    assert values.dtype == exact_dtype(value_bound(p))
     assert np.array_equal(values, expected)
 
 
@@ -400,11 +400,13 @@ def test_evaluate_batch_rejects_other_ranges(p):
             evaluate_batch(p, block)
 
 
-def test_fits_int64_bounds_values_on_the_cube_and_under_substitution():
+def test_value_bound_bounds_values_on_the_cube_and_under_substitution():
     edge = Poly(4, {0b0001: INT64_SAFE_BOUND - 2, 0b0010: -1})
-    assert fits_int64(edge)
-    assert not fits_int64(edge + v(3, 4))
-    big = (1 << 40) * v(1, 4) - (1 << 40) * v(2, 4)
+    assert value_bound(edge) < INT64_SAFE_BOUND
+    assert not value_bound(edge + v(3, 4)) < INT64_SAFE_BOUND
+    big = value_bound((1 << 40) * v(1, 4) - (1 << 40) * v(2, 4))
     # linear terms keep each input's bound; a product multiplies them
-    assert fits_int64(Poly.const(2, 2) + v(1, 2) - v(2, 2), [big, big])
-    assert not fits_int64(v(1, 2) * v(2, 2), [big, big])
+    assert value_bound(Poly.const(2, 2) + v(1, 2) - v(2, 2), [big, big]) < INT64_SAFE_BOUND
+    assert not value_bound(v(1, 2) * v(2, 2), [big, big]) < INT64_SAFE_BOUND
+    # an input bound counts as at least 1, so every coefficient is covered
+    assert value_bound(Poly(2, {0b11: 5, 0b01: -3}), [0, 0]) == 8

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from cubesign import scheme
 from cubesign.automorphisms import extend_for_signing, sample_automorphism, sample_indicator
 from cubesign.counting import (
+    CUBE_BLOCK,
+    INT64_SAFE_BOUND,
     cube_blocks,
     evaluate_batch,
     exact_dtype,
     exact_value_counts,
-    fits_int64,
     sample_points,
     value_bound,
 )
@@ -213,20 +215,31 @@ def test_exhaustive_wrong_key_counts_are_pinned():
     assert not rep.accepted
 
 
+def side_bound(challenge, components):
+    """The challenge's bound with each component's cube bound as its input's."""
+    return value_bound(challenge, [value_bound(p) for p in components])
+
+
 def cube_recount(challenge, components, points=None):
     """Points of the whole cube, or of ``points``, where challenge(components) > 0.
 
-    Component values are plain numpy int64 sums, combined as Python ints.
+    Component values are plain numpy int64 sums of the coefficients below
+    2**40 plus Python-int sums of the others, combined as Python ints.
     """
     if points is None:
-        points = range(1 << components[0].nvars)
+        points = range(1 << max(p.nvars for p in components))
     cube = np.array(points, dtype=np.int64)
     values = []
     for p in components:
         v = np.zeros(len(cube), dtype=np.int64)
+        big = np.zeros(len(cube), dtype=object)
         for mask, c in p.terms.items():
-            v += c * ((cube & mask) == mask)
-        values.append(v.astype(object))
+            covered = (cube & mask) == mask
+            if abs(c) < 1 << 40:
+                v += c * covered
+            else:
+                big[covered] += c
+        values.append(v.astype(object) + big)
     acc = 0
     for mask, c in challenge.terms.items():
         term = c
@@ -269,8 +282,8 @@ def test_challenge_exact_path_matches_pointwise_recount():
         for _ in range(CHALLENGE_NVARS)
     ]
     challenge = Poly(CHALLENGE_NVARS, {0b0001: 1, 0b0011: 1, 0b0111: 2, 0b1100: -2})
-    assert all(fits_int64(p) for p in components)
-    assert not fits_int64(challenge, components)
+    assert all(value_bound(p) < INT64_SAFE_BOUND for p in components)
+    assert not side_bound(challenge, components) < INT64_SAFE_BOUND
     combined = combine(challenge, components)
     expected = sum(combined.evaluate(point) > 0 for point in range(1 << nv))
     assert 0 < expected < 1 << nv
@@ -303,7 +316,7 @@ def test_challenge_combine_matches_pointwise_recount(terms, magnitude):
         # a constant-only challenge fits int64 unless the constant itself does not
         terms = {0: terms[0] << 70}
     challenge = Poly(CHALLENGE_NVARS, terms)
-    assert fits_int64(challenge, components) == (magnitude == 4)
+    assert (side_bound(challenge, components) < INT64_SAFE_BOUND) == (magnitude == 4)
     samples = [rng.getrandbits(nv) for _ in range(300)]
     for given, points in ((point_set(samples, nv), samples), (None, range(1 << nv))):
         expected = pointwise_positive(challenge, components, points)
@@ -327,7 +340,7 @@ def test_challenge_exact_path_over_two_cube_blocks():
         for _ in range(CHALLENGE_NVARS)
     ]
     challenge = Poly(CHALLENGE_NVARS, {0: -5, 0b0011: 1, 0b0101: -2, 0b1110: 2, 0b1111: 1})
-    assert not fits_int64(challenge, components)
+    assert not side_bound(challenge, components) < INT64_SAFE_BOUND
     assert len(cube_blocks(nv)) == 2
     expected = exact_value_counts(combine(challenge, components)).positive
     assert expected == cube_recount(challenge, components)
@@ -347,7 +360,7 @@ def test_challenge_combine_never_reads_a_component_the_challenge_does_not_use():
         for big_bits in (70, 40):
             big = Poly(nv, {0b1: 1 << big_bits, 0b110: -3})
             components = [Poly.zero(nv), scale * (x[1] - x[2]), scale * (2 * x[3] + 1), big]
-            assert exact_dtype(value_bound(challenge, components)) is dtype
+            assert exact_dtype(side_bound(challenge, components)) is dtype
             for points in (None, point_set(range(1 << nv), nv)):
                 values = evaluate_batch(big, range(1 << nv) if points is None else points)
                 assert values.dtype == (object if big_bits == 70 else np.int64)
@@ -377,8 +390,8 @@ def test_challenge_combine_reaches_its_bound_in_a_narrow_type(bits, side, dtype,
     d = (1 << bits) - 1 - side ** 3
     assert d > 0
     challenge = Poly(CHALLENGE_NVARS, {0b0111: sign, 0b1000: sign * d})
-    assert value_bound(challenge, components) == (1 << bits) - 1
-    assert exact_dtype(value_bound(challenge, components)) is dtype
+    assert side_bound(challenge, components) == (1 << bits) - 1
+    assert exact_dtype(side_bound(challenge, components)) is dtype
     assert combine(challenge, components).evaluate(ones) == sign * ((1 << bits) - 1)
     samples = [rng.getrandbits(nv) for _ in range(300)] + [ones]
     for given, points in ((point_set(samples, nv), samples), (None, None)):
@@ -393,7 +406,7 @@ def test_challenge_combine_bounds_coefficients_on_a_zero_component():
     x = [Poly.variable(i, nv) for i in range(1, nv + 1)]
     components = [Poly.zero(nv), x[1] - x[2], x[0] + 1, x[3]]
     challenge = Poly(CHALLENGE_NVARS, {0b11: 1 << 70, 0b1: 1})
-    assert not fits_int64(challenge, components)
+    assert not side_bound(challenge, components) < INT64_SAFE_BOUND
     for points in (None, point_set(range(1 << nv), nv)):
         expected = pointwise_positive(challenge, components, range(1 << nv))
         assert _challenge_positive(challenge, components, points) == expected
@@ -433,10 +446,90 @@ def test_narrow_components_broadcast_over_a_wider_block(widths, magnitude):
     widened = [p.widen(top) for p in components]
     fixed = Poly(CHALLENGE_NVARS, {0: -1, 0b0001: 1, 0b0010: 2, 0b1100: 1})
     for challenge in [fixed] + [sample_challenge(random.Random(seed)) for seed in range(4)]:
-        assert fits_int64(challenge, components) == (magnitude == 4)
+        assert (side_bound(challenge, components) < INT64_SAFE_BOUND) == (magnitude == 4)
         expected = cube_recount(challenge, widened)
         assert 0 < expected < 1 << top
         assert _challenge_positive(challenge, components, None) == expected
+
+
+def recorded_types(monkeypatch):
+    """A list that records every type scheme.exact_dtype picks."""
+    types = []
+
+    def recorder(bound):
+        types.append(exact_dtype(bound))
+        return types[-1]
+
+    monkeypatch.setattr(scheme, "exact_dtype", recorder)
+    return types
+
+
+@pytest.mark.parametrize("position", [0, 3], ids=["rest", "last"])
+@pytest.mark.parametrize("big, dtype", [(1 << 40, np.int64), (1 << 70, object)],
+                         ids=["int64", "object"])
+def test_combine_type_follows_the_block_values_not_the_cube_bound(big, dtype, position,
+                                                                  monkeypatch):
+    # one component has a big coefficient on a term of x17, so its cube bound
+    # needs int64 or Python ints, but on the block where x17 = 0 its values
+    # are small: that block combines in a narrow type, the other in dtype
+    rng = random.Random(position + big.bit_length())
+    nv = 17
+    components = [
+        Poly(nv, {rng.randrange(1 << nv): rng.choice((1, -1)) * rng.randint(1, 3)
+                  for _ in range(6)})
+        for _ in range(CHALLENGE_NVARS)
+    ]
+    components[position] += Poly(nv, {1 << 16 | 0b1: big, 1 << 16 | 0b110: -big})
+    assert exact_dtype(value_bound(components[position])) is dtype
+    challenge = Poly(CHALLENGE_NVARS, {0: -1, 0b0001: 1, 0b0110: 2, 0b1000: 1, 0b1011: -1})
+    types = recorded_types(monkeypatch)
+    expected = cube_recount(challenge, components)
+    assert 0 < expected < 1 << nv
+    assert _challenge_positive(challenge, components, None) == expected
+    assert {np.int8, np.int16} & set(types) and dtype in types
+    # sample points with x17 = 0 form one block of small values
+    types.clear()
+    samples = [rng.getrandbits(16) for _ in range(301)]
+    expected = cube_recount(challenge, components, samples)
+    assert _challenge_positive(challenge, components, point_set(samples, nv)) == expected
+    assert set(types) <= {np.int8, np.int16}
+
+
+@pytest.mark.parametrize("position", [0, 3], ids=["rest", "last"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("peak", [2**7 - 1, 2**7, 2**15 - 1, 2**15])
+def test_combine_type_holds_a_block_peak_at_a_type_edge(peak, sign, position):
+    # the component's values are 0 or sign * peak, its cube bound 3 * peak;
+    # the challenge reads it alone, with either sign, so a block combined in
+    # a type that holds sign * peak but not -sign * peak wraps one of them
+    nv = 8
+    x1, x2 = Poly.variable(1, nv), Poly.variable(2, nv)
+    components = [Poly.variable(i, nv) for i in range(1, CHALLENGE_NVARS + 1)]
+    components[position] = sign * peak * (x1 + x2 - x1 * x2)
+    rng = random.Random(peak)
+    samples = [rng.getrandbits(nv) for _ in range(301)]
+    for d in (1, -1):
+        challenge = Poly(CHALLENGE_NVARS, {1 << position: d})
+        for given, points in ((None, None), (point_set(samples, nv), samples)):
+            expected = cube_recount(challenge, components, points)
+            assert (expected > 0) == (d == sign)
+            assert _challenge_positive(challenge, components, given) == expected
+
+
+@pytest.mark.parametrize("position", range(CHALLENGE_NVARS))
+def test_an_unread_component_past_int64_is_left_as_python_ints(position):
+    # values reach 2**63 on a component the challenge never reads: casting
+    # them to the narrow combine type would raise OverflowError
+    nv = 6
+    components = [Poly.variable(i, nv) - Poly.variable(nv - i, nv)
+                  for i in range(1, CHALLENGE_NVARS + 1)]
+    components[position] = Poly(nv, {0b1: 1 << 63, 0b110: 3})
+    reads = [i for i in range(CHALLENGE_NVARS) if i != position]
+    challenge = Poly(CHALLENGE_NVARS, {0: 1, 1 << reads[0]: 2, (1 << reads[1]) | (1 << reads[2]): -3})
+    for given, points in ((None, None), (point_set(range(1 << nv), nv), range(1 << nv))):
+        expected = cube_recount(challenge, components, points)
+        assert 0 < expected < 1 << nv
+        assert _challenge_positive(challenge, components, given) == expected
 
 
 def recorded_calls(monkeypatch):
@@ -453,7 +546,8 @@ def recorded_calls(monkeypatch):
 
 def test_exhaustive_verify_evaluates_public_polynomials_on_their_own_cube(monkeypatch):
     # each public polynomial once per block of its own cube; the message
-    # polynomial or signature on that block and on its shift by 2**n
+    # polynomial or signature once on its whole cube at n = 14, and at n = 16
+    # on that block and on its shift by 2**n, CUBE_BLOCK points at most
     calls = recorded_calls(monkeypatch)
     for n in (14, 16):
         params = SchemeParams(n=n, trials=1000)
@@ -464,9 +558,41 @@ def test_exhaustive_verify_evaluates_public_polynomials_on_their_own_cube(monkey
         calls.clear()
         rep = verify_poly(pub, q, sig, params=params, rng=random.Random(3), exhaustive=True)
         low, high = range(0, 1 << n), range(1 << n, 1 << (n + 1))
-        assert calls == [(p, low) for p in pub.base] + [(q, low), (q, high)] + [
-            (p, low) for p in pub.mapped] + [(sig.poly, low), (sig.poly, high)]
+        ys = [range(0, 1 << (n + 1))] if n == 14 else [low, high]
+        assert calls == [(p, low) for p in pub.base] + [(q, y) for y in ys] + [
+            (p, low) for p in pub.mapped] + [(sig.poly, y) for y in ys]
         assert rep.accepted and rep.count_gap == 0
+
+
+def test_a_wide_last_component_is_walked_in_bounded_blocks(monkeypatch):
+    # rest components of 8 variables and a last one of 20 to 22: y goes in
+    # CUBE_BLOCK-point blocks, each viewed as rows of the 2**8-point block,
+    # and no more of them are held at once as the cube grows
+    rng = random.Random(20)
+    rest = [Poly(8, {rng.randrange(1, 1 << 8): rng.choice((1, -1)) for _ in range(5)})
+            for _ in range(CHALLENGE_NVARS - 1)]
+
+    def last(nv):
+        return Poly(nv, {rng.randrange(1, 1 << nv): rng.choice((1, -1)) for _ in range(12)})
+
+    challenge = Poly(CHALLENGE_NVARS, {0: 1, 0b0011: -2, 0b1000: 2, 0b1100: 1})
+    calls = recorded_calls(monkeypatch)
+    y = last(20)
+    components = [*rest, y]
+    expected = cube_recount(challenge, [p.widen(20) for p in components])
+    assert 0 < expected < 1 << 20
+    assert _challenge_positive(challenge, components, None) == expected
+    ys = [points for p, points in calls if p is y]
+    assert ys == [range(s, s + CUBE_BLOCK) for s in range(0, 1 << 20, CUBE_BLOCK)]
+
+    peaks = {}
+    for nv in (18, 22):
+        components = [*rest, last(nv)]
+        tracemalloc.start()
+        _challenge_positive(challenge, components, None)
+        peaks[nv] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[22] < 1.25 * peaks[18]
 
 
 def test_exhaustive_verify_refuses_a_cube_past_the_enumeration_limit(monkeypatch):

@@ -38,6 +38,18 @@ def test_script_runs_and_prints_its_header(name, argv, header, capsys):
     assert first.split()[:len(header)] == header
 
 
+def test_wrong_key_gap_exhaustive_output_is_pinned(capsys):
+    # the whole report of two exhaustive cycles at n = 10, byte for byte
+    assert load("wrong_key_gap").main(["--exhaustive", "--cycles", "2", "--params", "n=10"]) == 0
+    assert capsys.readouterr().out == (
+        "n=10 threshold=0.03 cycles=2 (exhaustive)\n"
+        "population    accept     min     p25  median     p75     max\n"
+        "    honest     2/2  0.0000  0.0000  0.0000  0.0000  0.0000\n"
+        " wrong-key     1/2  0.0220  0.0220  0.0317  0.0415  0.0415\n"
+        "wrong-key gaps above threshold: 1/2\n"
+    )
+
+
 def test_bench_record_medians_and_merge(tmp_path):
     bench = load("bench_record")
     results = [{"metrics": {"a_s": {"value": v, "unit": "s/op"}, "n": {"value": 7.0, "unit": "calls/op"}}}
