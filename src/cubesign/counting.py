@@ -9,10 +9,10 @@ a block costs O(k * 2**k) whatever the term count.
 
 One rule picks the integer type of enumerated values: ``exact_dtype`` of a
 bound on their magnitude, the narrowest of int8, int16, int32 and int64
-that holds it, or Python ints past int64.  ``value_bound`` gives the bound.
-The zeta passes run in, and a block comes back in, the type of the
-polynomial's cube bound; the verifier combines a block's component values
-in the type of the challenge's bound over the magnitudes they take there.
+that holds it, or Python ints past int64.  The zeta passes run in, and a
+block comes back in, the type of the polynomial's cube bound sum |c|,
+``value_bound``; the verifier combines a block's component values in the
+type of the challenge's own bound over the magnitudes they take there.
 
 Sample points are drawn as bit-sliced columns, one ``getrandbits`` per
 variable from the caller's generator, so a seed fixes the run.
@@ -25,18 +25,17 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError
-from .poly import INT64_SAFE_BOUND, Poly, indices_of
+from .poly import INT64_SAFE_BOUND, Poly
 
 EXACT_NVARS_LIMIT = 25
-# Points per enumeration block: 2**16 values are 64 KiB in int8, 512 KiB in int64.
-CUBE_BLOCK = 1 << 16
+# Points per enumeration block: 2**18 values are 256 KiB in int8, 2 MiB in int64.
+CUBE_BLOCK = 1 << 18
 # Rows one carry-save fold adds into a group's ones, twos and fours planes;
 # the adder network in _fold is written for eight.
 GROUP_ROWS = 8
@@ -106,23 +105,9 @@ def exact_dtype(bound: int) -> type:
     return object
 
 
-def value_bound(p: Poly, bounds: Sequence[int] | None = None) -> int:
-    """A bound on |p| over the cube, sum |c|, or on inputs bounded by ``bounds``.
-
-    With ``bounds``, the values are those of p with an input of magnitude at
-    most bounds[i-1] in place of x_i: a term is bounded by |c| times the
-    product of its inputs' bounds.  On the cube |q| <= sum |c| for any q, so
-    ``value_bound(q)`` bounds q as an input.  An input's bound counts as at
-    least 1, so the bound also covers every coefficient of p, which is cast
-    to the values' dtype even where an input is zero.
-    """
-    if bounds is None:
-        return sum(map(abs, p.terms.values()))
-    bounds = [max(1, b) for b in bounds]
-    return sum(
-        abs(c) * math.prod(bounds[i - 1] for i in indices_of(mask))
-        for mask, c in p.terms.items()
-    )
+def value_bound(p: Poly) -> int:
+    """A bound on |p| over the cube: sum |c|."""
+    return sum(map(abs, p.terms.values()))
 
 
 def _subcube_width(points: range) -> int:
@@ -228,16 +213,9 @@ def _fold(planes: list[int], rows: list[int]) -> None:
     rows.clear()
 
 
-def _signed_powers(c: int) -> list[int]:
-    """The signed powers of two summing to c, one per set bit of |c|."""
-    sign = -1 if c < 0 else 1
-    c = abs(c)
-    powers = []
-    while c:
-        low = c & -c
-        powers.append(sign * low)
-        c ^= low
-    return powers
+def _set_bits(c: int) -> list[int]:
+    """Positions of the set bits of c >= 0, low first, in time linear in its length."""
+    return [i for i, bit in enumerate(bin(c)[:1:-1]) if bit == "1"]
 
 
 def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
@@ -276,18 +254,20 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     ANDs of their high bits on a stack, so a shared prefix is computed once
     and at most nvars + 1 ANDs are live.
 
-    Each covered set joins the group of its coefficient when |c| is a power
-    of two, and otherwise one group per set bit of |c|.  A group keyed by
-    the signed power of two s counts covered sets in units of |s|: every
-    ``GROUP_ROWS`` of its rows are folded by ``_fold`` into its low three
-    planes, and only the weight-8 carry ripple-adds further.  The groups
-    hold at most 2 * (coefficient bit length) * (GROUP_ROWS - 1) pending
-    rows, whatever the term count.  At the end the leftover rows are added,
-    and each group's planes, shifted by log2 |s|, are added into the
-    positive or the negative counter.  One bit-sliced subtraction gives
-    two's-complement planes, exact at any magnitude.  The result is int64
-    when the values need at most 63 planes, sign included, and an
-    ``object`` array of Python ints otherwise.
+    Each covered set joins the group keyed by its coefficient c when |c| is
+    a power of two.  Otherwise it joins one group per set bit of |c|, keyed
+    by the bit's position and c's sign, so no key is wider than a word and
+    the bits are found in one linear walk.  A group of weight 2**k counts
+    covered sets in units of 2**k: every ``GROUP_ROWS`` of its rows are
+    folded by ``_fold`` into its low three planes, and only the weight-8
+    carry ripple-adds further.  The groups hold at most
+    4 * (coefficient bit length) * (GROUP_ROWS - 1) pending rows, whatever
+    the term count.  At the end the leftover rows are added, and each
+    group's planes, shifted by k, are added into the positive or the
+    negative counter.  One bit-sliced subtraction gives two's-complement
+    planes, exact at any magnitude.  The result is int64 when the values
+    need at most 63 planes, sign included, and an ``object`` array of
+    Python ints otherwise.
     """
     if isinstance(points, range):
         return _subcube_values(p, points.start, _subcube_width(points))
@@ -300,9 +280,10 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
         )
     columns = points.columns
     terms = p.terms
-    # Signed power of two -> its pending rows, and -> its group's bit planes.
-    pending: dict[int, list[int]] = {}
-    groups: dict[int, list[int]] = {}
+    # A coefficient ±2**k, or (k, c < 0) for bit k of any other c -> its
+    # pending rows, and -> its group's bit planes.
+    pending: dict[int | tuple[int, bool], list[int]] = {}
+    groups: dict[int | tuple[int, bool], list[int]] = {}
     # stack[d] is the AND of the columns of the d highest set bits of prev.
     stack = [(1 << len(points)) - 1]
     prev = 0
@@ -325,7 +306,8 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
                 _fold(groups[c], rows)
             continue
         # A group's first row, or a coefficient with several set bits.
-        for key in _signed_powers(c):
+        size = abs(c)
+        for key in [(k, c < 0) for k in _set_bits(size)] if size & (size - 1) else [c]:
             rows = pending.get(key)
             if rows is None:
                 rows = pending[key] = []
@@ -338,8 +320,8 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     for key, group in groups.items():
         for row in pending[key]:
             _add_at(group, row, 0)
-        counter = positive if key > 0 else negative
-        shift = abs(key).bit_length() - 1
+        shift, minus = key if isinstance(key, tuple) else (abs(key).bit_length() - 1, key < 0)
+        counter = negative if minus else positive
         for i, plane in enumerate(group):
             _add_at(counter, plane, shift + i)
     # positive - negative; the final borrow is the sign plane.

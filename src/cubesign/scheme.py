@@ -45,7 +45,6 @@ from .counting import (
     evaluate_batch,
     exact_dtype,
     sample_points,
-    value_bound,
 )
 from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
@@ -156,12 +155,12 @@ def sample_challenge(rng: random.Random) -> Poly:
             return p
 
 
-def _nested_combine(coeffs: list[int], vals: list[np.ndarray]) -> np.ndarray | int:
+def _nested_combine(coeffs: list[int], vals: list[np.ndarray | int]) -> np.ndarray | int:
     """Sum over masks of coeffs[mask] times the product of vals[i] for the bits i of mask.
 
     Nested as f0 + v * f1 over the halves of coeffs, in place on the new arrays
-    it returns; vals share one shape.  Zero halves are skipped, so a constant
-    form gives coeffs[0].
+    it returns; vals are ints or arrays of one shape.  Zero halves are
+    skipped, so a constant form gives coeffs[0].
     """
     if len(coeffs) == 1:
         return coeffs[0]
@@ -180,8 +179,8 @@ def _nested_combine(coeffs: list[int], vals: list[np.ndarray]) -> np.ndarray | i
 
 
 def _magnitude(values: np.ndarray) -> int:
-    """The largest |v| over the values."""
-    return max(int(values.max()), -int(values.min()))
+    """The largest |v| over the values, counted as at least 1."""
+    return max(1, int(values.max()), -int(values.min()))
 
 
 def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSet | None) -> int:
@@ -198,21 +197,24 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
     2**w, as far as the cube reaches.  A cube of at most CUBE_BLOCK points
     is one y block.  A point set is one block, and y on it one row.
 
-    The combine type is chosen per block: ``exact_dtype`` of the
-    challenge's ``value_bound`` over the largest magnitudes the components
-    the challenge reads take on the block.  f0 and f1 run in the type of
-    that bound with |y| taken as 1, which covers both; each y block is cast
-    to the type of the bound with its own magnitude, which is never
+    The combine type is chosen per block: ``exact_dtype`` of the challenge's
+    bound sum |c_m| * prod b_i over its terms m, ``_nested_combine`` of its
+    absolute coefficients over the largest magnitudes b_i, at least 1, that
+    the components in its support take on the block.  f0 and f1 run in the
+    type of that bound with |y| taken as 1, which covers both; each y block
+    is cast to the type of the bound with its own magnitude, which is never
     narrower.  So each read component is cast once.  Every final value and
     every coefficient lies within the bound, and numpy arithmetic wraps, so
-    the values are exact.  The challenge never multiplies a component it
-    does not read, so such values are neither reduced nor cast, and may
-    stay Python ints.
+    the values are exact.  The challenge never multiplies a component
+    outside its support, so such values are neither reduced nor cast, and
+    may stay Python ints.
     """
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
-    reads = [any(mask >> i & 1 for mask in challenge.terms) for i in range(challenge.nvars)]
+    support = challenge.support()
+    reads = [support >> i & 1 for i in range(challenge.nvars)]
     coeffs = [challenge.terms.get(mask, 0) for mask in range(1 << challenge.nvars)]
+    sizes = list(map(abs, coeffs))
     half = len(coeffs) // 2
     *rest, last = components
     if points is None:
@@ -226,8 +228,8 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
     count = 0
     for block in blocks:
         vals = [evaluate_batch(p, block) for p in rest]
-        bounds = [_magnitude(v) if r else 0 for v, r in zip(vals, reads)]
-        dtype = exact_dtype(value_bound(challenge, [*bounds, 1]))
+        bounds = [_magnitude(v) if r else 1 for v, r in zip(vals, reads)]
+        dtype = exact_dtype(_nested_combine(sizes, [*bounds, 1]))
         vals = [v.astype(dtype, copy=False) if r else v for v, r in zip(vals, reads)]
         f0, f1 = _nested_combine(coeffs[:half], vals), _nested_combine(coeffs[half:], vals)
         for s in shifts:
@@ -237,7 +239,7 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
             else:
                 y = evaluate_batch(last, points)
             if reads[-1]:
-                y = y.astype(exact_dtype(value_bound(challenge, [*bounds, _magnitude(y)])),
+                y = y.astype(exact_dtype(_nested_combine(sizes, [*bounds, _magnitude(y)])),
                              copy=False)
                 value = f1 * y
                 value += f0

@@ -152,13 +152,29 @@ def test_analyze_without_files_still_counts_dimensions(capsys):
     assert "public key bits" not in out
 
 
-def test_module_entry_point():
-    # the child imports the package these tests import, installed or not
+def run_module(*args):
+    """``python -m cubesign`` in a child that imports the package these tests import."""
     src = str(Path(cubesign.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubesign", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", "cubesign", *args],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = run_module("--help")
     assert proc.returncode == 0
     assert "keygen" in proc.stdout and "verify" in proc.stdout
+
+
+def test_module_verify_of_a_malformed_key_exits_2(workspace, tmp_path):
+    # a mapped polynomial in one variable too many fails the reader's check
+    blocks = (workspace / "k.pub").read_text().split("\n\n")
+    blocks[-1] = blocks[-1].replace("nvars=31", "nvars=32", 1)
+    bad = tmp_path / "bad.pub"
+    bad.write_text("\n\n".join(blocks))
+    proc = run_module("verify", "--pub", str(bad), "--sig", str(workspace / "msg.txt.sig"),
+                      "--seed", "0", str(workspace / "msg.txt"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: mapped polynomial has the wrong variable count")

@@ -370,14 +370,15 @@ def test_evaluate_batch_on_aligned_subcubes_matches_pointwise(p):
 
 
 def test_evaluate_batch_on_a_full_block_matches_numpy():
-    # a CUBE_BLOCK of 2**16 points inside an 18-variable cube, so the high
-    # bits of each term select the terms the block keeps
+    # the third CUBE_BLOCK of a cube of four, so the high bits of each term
+    # select the terms the block keeps
     rng = random.Random(31)
+    nv = CUBE_BLOCK.bit_length() + 1
     terms = {}
     while len(terms) < 400:
-        mask = sum({1 << rng.randrange(18) for _ in range(rng.randint(0, 5))})
+        mask = sum({1 << rng.randrange(nv) for _ in range(rng.randint(0, 5))})
         terms[mask] = rng.randint(-9, 9) or 1
-    p = Poly(18, terms)
+    p = Poly(nv, terms)
     start = 2 * CUBE_BLOCK
     block = range(start, start + CUBE_BLOCK)
     points = np.arange(start, start + CUBE_BLOCK, dtype=np.int64)
@@ -400,13 +401,8 @@ def test_evaluate_batch_rejects_other_ranges(p):
             evaluate_batch(p, block)
 
 
-def test_value_bound_bounds_values_on_the_cube_and_under_substitution():
+def test_value_bound_bounds_values_on_the_cube():
     edge = Poly(4, {0b0001: INT64_SAFE_BOUND - 2, 0b0010: -1})
     assert value_bound(edge) < INT64_SAFE_BOUND
     assert not value_bound(edge + v(3, 4)) < INT64_SAFE_BOUND
-    big = value_bound((1 << 40) * v(1, 4) - (1 << 40) * v(2, 4))
-    # linear terms keep each input's bound; a product multiplies them
-    assert value_bound(Poly.const(2, 2) + v(1, 2) - v(2, 2), [big, big]) < INT64_SAFE_BOUND
-    assert not value_bound(v(1, 2) * v(2, 2), [big, big]) < INT64_SAFE_BOUND
-    # an input bound counts as at least 1, so every coefficient is covered
-    assert value_bound(Poly(2, {0b11: 5, 0b01: -3}), [0, 0]) == 8
+    assert value_bound(Poly(2, {0b11: 5, 0b01: -3})) == 8

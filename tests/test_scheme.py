@@ -1,12 +1,14 @@
 import hashlib
+import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubesign import scheme
+from cubesign import counting, scheme
 from cubesign.automorphisms import extend_for_signing, sample_automorphism, sample_indicator
 from cubesign.counting import (
     CUBE_BLOCK,
@@ -20,12 +22,14 @@ from cubesign.counting import (
 )
 from cubesign.errors import CapacityError, DimensionError, FormatError
 from cubesign.params import SchemeParams
-from cubesign.poly import Poly, mask_of, split_blocks
+from cubesign.poly import Poly, indices_of, mask_of, split_blocks
 from cubesign.scheme import (
     CHALLENGE_NVARS,
     PrivateKey,
+    PublicKey,
     Signature,
     _challenge_positive,
+    _nested_combine,
     keygen,
     private_key_from_text,
     private_key_to_text,
@@ -201,8 +205,14 @@ def test_production_verify_counts_are_pinned():
         assert rep.accepted
 
 
+def use_cube_block(monkeypatch, size):
+    """Enumerate the cube in blocks of size points, in counting and scheme alike."""
+    monkeypatch.setattr(counting, "CUBE_BLOCK", size)
+    monkeypatch.setattr(scheme, "CUBE_BLOCK", size)
+
+
 def test_exhaustive_wrong_key_counts_are_pinned():
-    # n=16 enumerates 2**17 points, so the sum runs over two blocks
+    # n=16 enumerates 2**17 points
     params = SchemeParams(n=16, trials=1000)
     rng = random.Random(0)
     priv, pub = keygen(params, rng)
@@ -215,9 +225,42 @@ def test_exhaustive_wrong_key_counts_are_pinned():
     assert not rep.accepted
 
 
+def test_exhaustive_counts_at_n20_are_pinned():
+    # 2**21 points, walked in several blocks: an honest and a wrong-key signature
+    params = SchemeParams(n=20, trials=1000)
+    rng = random.Random(20)
+    priv, pub = keygen(params, rng)
+    q = synth_q(params.n + 1, rng)
+    wrong = PrivateKey(sample_automorphism(params, random.Random(2000)))
+    for signer, seed, expected in ((priv, 21, (957778, 957778)),
+                                   (wrong, 22, (1168661, 1186020))):
+        sig = sign_poly(signer, params, q, random.Random(seed))
+        rep = verify_poly(pub, q, sig, params=params, rng=random.Random(seed), exhaustive=True)
+        assert (rep.reference_positive, rep.signed_positive) == expected
+        assert (rep.trials, rep.allowed_gap) == (1 << 21, 62914)
+
+
+def challenge_bound(challenge, bounds):
+    """sum |c_m| * prod max(1, bounds[i]) over the challenge's terms m, term by term."""
+    return sum(abs(c) * math.prod(max(1, bounds[i - 1]) for i in indices_of(mask))
+               for mask, c in challenge.terms.items())
+
+
 def side_bound(challenge, components):
     """The challenge's bound with each component's cube bound as its input's."""
-    return value_bound(challenge, [value_bound(p) for p in components])
+    return challenge_bound(challenge, [value_bound(p) for p in components])
+
+
+@given(st.dictionaries(st.integers(0, (1 << CHALLENGE_NVARS) - 1),
+                       st.integers(-(1 << 70), 1 << 70), max_size=1 << CHALLENGE_NVARS),
+       st.lists(st.one_of(st.integers(0, 3), st.integers(0, 1 << 70)),
+                min_size=CHALLENGE_NVARS, max_size=CHALLENGE_NVARS))
+def test_nested_bound_matches_the_termwise_challenge_bound(terms, bounds):
+    # the combine bound _challenge_positive computes, zero inputs counted as 1
+    challenge = Poly(CHALLENGE_NVARS, terms)
+    sizes = [abs(challenge.terms.get(mask, 0)) for mask in range(1 << CHALLENGE_NVARS)]
+    nested = _nested_combine(sizes, [max(1, b) for b in bounds])
+    assert nested == challenge_bound(challenge, bounds)
 
 
 def cube_recount(challenge, components, points=None):
@@ -250,24 +293,35 @@ def cube_recount(challenge, components, points=None):
     return int((acc > 0).sum())
 
 
+def assert_exhaustive_verify_matches_recount(n):
+    """Exhaustive verify of an honest and a wrong-key signature at n, against cube_recount."""
+    params = SchemeParams(n=n, trials=1000)
+    rng = random.Random(9)
+    priv, pub = keygen(params, rng)
+    q = synth_q(params.n + 1, rng)
+    wrong = PrivateKey(sample_automorphism(params, random.Random(900)))
+    m = params.n + 1
+    for signer, seed in ((priv, 4), (wrong, 5)):
+        sig = sign_poly(signer, params, q, random.Random(seed))
+        rep = verify_poly(pub, q, sig, params=params, rng=random.Random(seed),
+                          exhaustive=True)
+        reference = [p.widen(m) for p in pub.base] + [q]
+        signed = [p.widen(m) for p in pub.mapped] + [sig.poly]
+        assert rep.trials == 1 << m
+        assert rep.reference_positive == cube_recount(rep.challenge, reference)
+        assert rep.signed_positive == cube_recount(rep.challenge, signed)
+
+
 def test_exhaustive_verify_matches_whole_cube_recount():
-    # n=15 walks one block of 2**15 points twice; n=17 two blocks of 2**16 twice
+    # n=15 walks one block of 2**15 points and y's 2**16; n=17 one of 2**17 and y's 2**18
     for n in (15, 17):
-        params = SchemeParams(n=n, trials=1000)
-        rng = random.Random(9)
-        priv, pub = keygen(params, rng)
-        q = synth_q(params.n + 1, rng)
-        wrong = PrivateKey(sample_automorphism(params, random.Random(900)))
-        m = params.n + 1
-        for signer, seed in ((priv, 4), (wrong, 5)):
-            sig = sign_poly(signer, params, q, random.Random(seed))
-            rep = verify_poly(pub, q, sig, params=params, rng=random.Random(seed),
-                              exhaustive=True)
-            reference = [p.widen(m) for p in pub.base] + [q]
-            signed = [p.widen(m) for p in pub.mapped] + [sig.poly]
-            assert rep.trials == 1 << m
-            assert rep.reference_positive == cube_recount(rep.challenge, reference)
-            assert rep.signed_positive == cube_recount(rep.challenge, signed)
+        assert_exhaustive_verify_matches_recount(n)
+
+
+def test_exhaustive_verify_matches_whole_cube_recount_in_small_blocks(monkeypatch):
+    # 2**12-point blocks: 8 blocks of the public polynomials, each with 16 y blocks
+    use_cube_block(monkeypatch, 1 << 12)
+    assert_exhaustive_verify_matches_recount(15)
 
 
 def test_challenge_exact_path_matches_pointwise_recount():
@@ -327,8 +381,9 @@ def test_challenge_combine_matches_pointwise_recount(terms, magnitude):
         assert 0 < expected < 1 << nv
 
 
-def test_challenge_exact_path_over_two_cube_blocks():
+def test_challenge_exact_path_over_two_cube_blocks(monkeypatch):
     # coefficients near 2**40, so the products need Python ints, over 2**17 points
+    use_cube_block(monkeypatch, 1 << 16)
     rng = random.Random(23)
     nv = 17
     components = [
@@ -470,8 +525,9 @@ def recorded_types(monkeypatch):
 def test_combine_type_follows_the_block_values_not_the_cube_bound(big, dtype, position,
                                                                   monkeypatch):
     # one component has a big coefficient on a term of x17, so its cube bound
-    # needs int64 or Python ints, but on the block where x17 = 0 its values
-    # are small: that block combines in a narrow type, the other in dtype
+    # needs int64 or Python ints, but on the 2**16-point block where x17 = 0
+    # its values are small: that block combines in a narrow type, the other in dtype
+    use_cube_block(monkeypatch, 1 << 16)
     rng = random.Random(position + big.bit_length())
     nv = 17
     components = [
@@ -546,10 +602,11 @@ def recorded_calls(monkeypatch):
 
 def test_exhaustive_verify_evaluates_public_polynomials_on_their_own_cube(monkeypatch):
     # each public polynomial once per block of its own cube; the message
-    # polynomial or signature once on its whole cube at n = 14, and at n = 16
-    # on that block and on its shift by 2**n, CUBE_BLOCK points at most
+    # polynomial or signature once on its whole cube at n = 14, and at
+    # n = 18, whose cube is one CUBE_BLOCK, on that block and on its shift by 2**n
     calls = recorded_calls(monkeypatch)
-    for n in (14, 16):
+    wide = CUBE_BLOCK.bit_length() - 1
+    for n in (14, wide):
         params = SchemeParams(n=n, trials=1000)
         rng = random.Random(n)
         priv, pub = keygen(params, rng)
@@ -558,7 +615,7 @@ def test_exhaustive_verify_evaluates_public_polynomials_on_their_own_cube(monkey
         calls.clear()
         rep = verify_poly(pub, q, sig, params=params, rng=random.Random(3), exhaustive=True)
         low, high = range(0, 1 << n), range(1 << n, 1 << (n + 1))
-        ys = [range(0, 1 << (n + 1))] if n == 14 else [low, high]
+        ys = [range(0, 1 << (n + 1))] if n < wide else [low, high]
         assert calls == [(p, low) for p in pub.base] + [(q, y) for y in ys] + [
             (p, low) for p in pub.mapped] + [(sig.poly, y) for y in ys]
         assert rep.accepted and rep.count_gap == 0
@@ -585,14 +642,40 @@ def test_a_wide_last_component_is_walked_in_bounded_blocks(monkeypatch):
     ys = [points for p, points in calls if p is y]
     assert ys == [range(s, s + CUBE_BLOCK) for s in range(0, 1 << 20, CUBE_BLOCK)]
 
+    # 4 and 16 y blocks: both cubes take more than one
     peaks = {}
-    for nv in (18, 22):
+    for nv in (20, 22):
         components = [*rest, last(nv)]
         tracemalloc.start()
         _challenge_positive(challenge, components, None)
         peaks[nv] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    assert peaks[22] < 1.25 * peaks[18]
+    assert peaks[22] < 1.25 * peaks[20]
+
+
+def test_wide_hostile_coefficients_verify_in_linear_time():
+    # 32 terms of 1000- or 4000-digit coefficients (about 33 and 129 KB of
+    # text) on a production key: each coefficient's set bits are walked
+    # once, where a walk and a wide dict key per bit took about 11 times
+    # as long at 4000 digits as at 1000.  The runs alternate, fastest of 3.
+    params = SchemeParams()
+    _, pub = keygen(params, random.Random(0))
+    signatures = {}
+    for digits in (1000, 4000):
+        rng = random.Random(digits)
+        terms = {}
+        while len(terms) < 32:
+            coeff = rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+            terms[rng.getrandbits(params.n + 1)] = coeff
+        signatures[digits] = Signature(Poly(params.n + 1, terms))
+    times = {1000: [], 4000: []}
+    for _ in range(3):
+        for digits, expected in ((1000, (883, 2)), (4000, (883, 7))):
+            start = time.process_time()
+            rep = verify(pub, b"msg", signatures[digits], rng=random.Random(1))
+            times[digits].append(time.process_time() - start)
+            assert (rep.reference_positive, rep.signed_positive) == expected
+    assert min(times[4000]) <= 6 * min(times[1000])
 
 
 def test_exhaustive_verify_refuses_a_cube_past_the_enumeration_limit(monkeypatch):
@@ -751,6 +834,50 @@ def test_negative_nvars_is_a_format_error():
     ):
         with pytest.raises(FormatError):
             parse(text)
+
+
+def _malformed_texts():
+    """(parser, text, message) for each reader check that a well-formed file never meets."""
+    priv, pub = keygen(TP, random.Random(8))
+    x = [1 << i for i in range(TP.n)]
+
+    def public(base=pub.base, mapped=pub.mapped):
+        return public_key_to_text(PublicKey(TP, tuple(base), tuple(mapped)))
+
+    def base_with(poly):
+        return public(base=(poly, *pub.base[1:]))
+
+    private = private_key_to_text(TP, priv)
+    blocks = private.split("\n\n")  # params, the lone header, then one block per image
+    blocks[2] = blocks[2].replace("nvars=10", "nvars=11", 1)
+    return {
+        "base-nvars": (public_key_from_text, base_with(pub.base[0].widen(TP.n + 1)),
+                       "base polynomial has the wrong variable count"),
+        "base-degree": (public_key_from_text,
+                        base_with(Poly(TP.n, {x[0] | x[1] | x[2] | x[3]: 1, x[4]: 1, x[5]: -1})),
+                        "degree 1..3"),
+        "base-constant": (public_key_from_text, base_with(Poly(TP.n, {0: 1, x[4]: 1, x[5]: -1})),
+                          "degree 1..3"),
+        "mapped-nvars": (public_key_from_text,
+                         public(mapped=(*pub.mapped[:2], pub.mapped[2].widen(TP.n + 1))),
+                         "mapped polynomial has the wrong variable count"),
+        "no-automorphism": (private_key_from_text, private.split("\n\n")[0] + "\n",
+                            "needs a params line and an automorphism"),
+        "no-lone-header": (private_key_from_text, private.replace("nvars=10\n\n", "nvars=10\n", 1),
+                           "lone nvars= header"),
+        "image-nvars": (private_key_from_text, "\n\n".join(blocks),
+                        "every image must live in the ambient variable set"),
+    }
+
+
+MALFORMED_TEXTS = _malformed_texts()
+
+
+@pytest.mark.parametrize("case", MALFORMED_TEXTS)
+def test_reader_checks_raise_format_error(case):
+    parse, text, message = MALFORMED_TEXTS[case]
+    with pytest.raises(FormatError, match=message):
+        parse(text)
 
 
 FUZZ_PARAMS = SchemeParams(n=5, trials=100)
