@@ -319,7 +319,7 @@ def test_exhaustive_verify_matches_whole_cube_recount():
 
 
 def test_exhaustive_verify_matches_whole_cube_recount_in_small_blocks(monkeypatch):
-    # 2**12-point blocks: 8 blocks of the public polynomials, each with 16 y blocks
+    # 2**12-point blocks: 8 of the public polynomials' cube, y on each and on its shift
     use_cube_block(monkeypatch, 1 << 12)
     assert_exhaustive_verify_matches_recount(15)
 
