@@ -72,6 +72,11 @@ def is_indicator(h: Poly) -> bool:
     return h * h == h
 
 
+def _xor(x: Poly, h: Poly) -> Poly:
+    """x + h - 2*x*h: on the cube, the XOR of the 0/1 values of x and h."""
+    return x + h - 2 * (x * h)
+
+
 def elementary(k: int, indicator: Poly) -> Automorphism:
     """Map x_k to x_k + h - 2*x_k*h (value of x_k is XORed with h), fix the rest.
 
@@ -86,8 +91,7 @@ def elementary(k: int, indicator: Poly) -> Automorphism:
     if not is_indicator(indicator):
         raise GeneratorError("polynomial is not 0/1-valued on the cube")
     images = [Poly.variable(i, n) for i in range(1, n + 1)]
-    xk = images[k - 1]
-    images[k - 1] = xk + indicator - 2 * (xk * indicator)
+    images[k - 1] = _xor(images[k - 1], indicator)
     return Automorphism(n, tuple(images))
 
 
@@ -192,7 +196,7 @@ def triangular(direction: str, params: SchemeParams, rng: random.Random) -> Auto
         else:
             banned = range(1, k + 1) if up else range(k, n + 1)
             h = sample_indicator(banned, params, n, rng)
-            images[k] = xk + h - 2 * (xk * h)
+            images[k] = _xor(xk, h)
     return Automorphism(n, tuple(images[k] for k in range(1, n + 1)))
 
 
@@ -222,8 +226,7 @@ def extend_for_signing(aut: Automorphism, tweak: Poly) -> Automorphism:
     if not is_indicator(tweak):
         raise GeneratorError("tweak is not 0/1-valued on the cube")
     images = [img.widen(n + 1) for img in aut.images]
-    x = Poly.variable(n + 1, n + 1)
-    images.append(x + tweak - 2 * (x * tweak))
+    images.append(_xor(Poly.variable(n + 1, n + 1), tweak))
     return Automorphism(n + 1, tuple(images))
 
 

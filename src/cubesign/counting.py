@@ -3,9 +3,11 @@
 Production verification estimates the positive proportion by uniform
 sampling.  The exact oracle and exhaustive verification enumerate the cube,
 up to ``EXACT_NVARS_LIMIT`` variables, in aligned subcube blocks of at most
-``CUBE_BLOCK`` points.  A block's values come from a subset-sum (zeta)
-transform of the polynomial's coefficients: k passes over 2**k entries, so
-a block costs O(k * 2**k) whatever the term count.
+``CUBE_BLOCK`` points: ``cube_blocks`` cuts one cube, and ``cube_walk``
+lines up the blocks of a narrower cube with those of a wider one, as
+exhaustive verification walks them.  A block's values come from a
+subset-sum (zeta) transform of the polynomial's coefficients: k passes over
+2**k entries, so a block costs O(k * 2**k) whatever the term count.
 
 One rule picks the integer type of enumerated values: ``exact_dtype`` of a
 bound on their magnitude, the narrowest of int8, int16, int32 and int64
@@ -36,6 +38,8 @@ from .poly import INT64_SAFE_BOUND, Poly
 EXACT_NVARS_LIMIT = 25
 # Points per enumeration block: 2**18 values are 256 KiB in int8, 2 MiB in int64.
 CUBE_BLOCK = 1 << 18
+# Points per slice when reading values wider than 63 planes.
+WIDE_SLICE = 256
 # Rows one carry-save fold adds into a group's ones, twos and fours planes;
 # the adder network in _fold is written for eight.
 GROUP_ROWS = 8
@@ -79,6 +83,19 @@ def cube_blocks(nvars: int) -> list[range]:
     total = 1 << nvars
     size = min(CUBE_BLOCK, total)
     return [range(start, start + size) for start in range(0, total, size)]
+
+
+def cube_walk(width: int, top: int) -> list[tuple[range, list[range]]]:
+    """Each block of the 2**width cube, with the blocks of the 2**top cube lined up with it.
+
+    top >= width.  Each of ``cube_blocks(top)`` goes with the block holding
+    its low width bits, so it is rows of that block's points shifted by
+    multiples of 2**width.
+    """
+    wide = cube_blocks(top)
+    cycle = (1 << width) - 1
+    return [(block, [y for y in wide if y.start & cycle == block.start])
+            for block in cube_blocks(width)]
 
 
 def exact_value_counts(p: Poly) -> ValueCounts:
@@ -213,16 +230,14 @@ def _fold(planes: list[int], rows: list[int]) -> None:
     rows.clear()
 
 
-def _set_bits(c: int) -> list[int]:
-    """Positions of the set bits of c >= 0, low first, in time linear in its length."""
-    return [i for i, bit in enumerate(bin(c)[:1:-1]) if bit == "1"]
-
-
 def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
     """Per-point values of two's-complement planes; the last plane is the sign.
 
     Up to 63 planes they are int64.  Wider planes are sign-extended to whole
-    bytes, and each point's packed bits are read as one int, in linear time.
+    bytes and read ``WIDE_SLICE`` points at a time: each eight planes are
+    packed into a byte by shifts (packing across rows, or transposing bits,
+    took about three times as long), and each point's bytes are read as one
+    int, in linear time.
     """
     width = len(planes)
     if width > 63:
@@ -230,13 +245,19 @@ def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
     nbytes = (npoints + 7) // 8
     raw = b"".join(plane.to_bytes(nbytes, "little") for plane in planes)
     octets = np.frombuffer(raw, dtype=np.uint8).reshape(len(planes), nbytes)
-    bits = np.unpackbits(octets, axis=1, count=npoints, bitorder="little")
-    if width > 63:
-        rows = np.packbits(bits.T, axis=1, bitorder="little")  # point j's bytes, low first
-        values = (int.from_bytes(row, "little", signed=True) for row in rows)
-        return np.fromiter(values, dtype=object, count=npoints)
-    weights = [1 << k for k in range(width - 1)] + [-(1 << (width - 1))]
-    return np.array(weights, dtype=np.int64) @ bits.astype(np.int64)
+    if width <= 63:
+        bits = np.unpackbits(octets, axis=1, count=npoints, bitorder="little")
+        weights = [1 << k for k in range(width - 1)] + [-(1 << (width - 1))]
+        return np.array(weights, dtype=np.int64) @ bits.astype(np.int64)
+    values = []
+    for i in range(0, nbytes, WIDE_SLICE // 8):
+        bits = np.unpackbits(octets[:, i:i + WIDE_SLICE // 8], axis=1, bitorder="little")
+        bits = bits.reshape(len(planes) // 8, 8, -1)
+        packed = bits[:, 7] << 7
+        for k in range(7):
+            packed |= bits[:, k] << k
+        values += [int.from_bytes(row, "little", signed=True) for row in packed.T.copy()]
+    return np.fromiter(values, dtype=object, count=npoints)  # drops the padding points
 
 
 def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
@@ -255,16 +276,17 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     and at most nvars + 1 ANDs are live.
 
     Each covered set joins the group keyed by its coefficient c when |c| is
-    a power of two.  Otherwise it joins one group per set bit of |c|, keyed
-    by the bit's position and c's sign, so no key is wider than a word and
-    the bits are found in one linear walk.  A group of weight 2**k counts
-    covered sets in units of 2**k: every ``GROUP_ROWS`` of its rows are
-    folded by ``_fold`` into its low three planes, and only the weight-8
-    carry ripple-adds further.  The groups hold at most
-    4 * (coefficient bit length) * (GROUP_ROWS - 1) pending rows, whatever
-    the term count.  At the end the leftover rows are added, and each
-    group's planes, shifted by k, are added into the positive or the
-    negative counter.  One bit-sliced subtraction gives two's-complement
+    a power of two.  A group of weight 2**k counts covered sets in units of
+    2**k: every ``GROUP_ROWS`` of its rows are folded by ``_fold`` into its
+    low three planes, and only the weight-8 carry ripple-adds further.  The
+    groups hold at most 2 * (coefficient bit length) * (GROUP_ROWS - 1)
+    pending rows, whatever the term count.  Any other coefficient, rare in
+    honest input, ripple-adds its covered set into the positive or the
+    negative counter once per set bit of |c|, found in one linear walk, so
+    a coefficient of thousands of digits costs time and memory linear in
+    its length.  At the end the leftover rows are added, and each group's
+    planes, shifted by k, are added into the positive or the negative
+    counter.  One bit-sliced subtraction gives two's-complement
     planes, exact at any magnitude.  The result is int64 when the values
     need at most 63 planes, sign included, and an ``object`` array of
     Python ints otherwise.
@@ -280,10 +302,11 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
         )
     columns = points.columns
     terms = p.terms
-    # A coefficient ±2**k, or (k, c < 0) for bit k of any other c -> its
-    # pending rows, and -> its group's bit planes.
-    pending: dict[int | tuple[int, bool], list[int]] = {}
-    groups: dict[int | tuple[int, bool], list[int]] = {}
+    # A coefficient ±2**k -> its pending rows, and -> its group's bit planes.
+    pending: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}
+    positive: list[int] = []
+    negative: list[int] = []
     # stack[d] is the AND of the columns of the d highest set bits of prev.
     stack = [(1 << len(points)) - 1]
     prev = 0
@@ -305,25 +328,22 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
             if len(rows) == GROUP_ROWS:
                 _fold(groups[c], rows)
             continue
-        # A group's first row, or a coefficient with several set bits.
         size = abs(c)
-        for key in [(k, c < 0) for k in _set_bits(size)] if size & (size - 1) else [c]:
-            rows = pending.get(key)
-            if rows is None:
-                rows = pending[key] = []
-                groups[key] = [0, 0, 0]
-            rows.append(covered)
-            if len(rows) == GROUP_ROWS:
-                _fold(groups[key], rows)
-    positive: list[int] = []
-    negative: list[int] = []
-    for key, group in groups.items():
-        for row in pending[key]:
+        if size & (size - 1):
+            # Several set bits, found in one linear walk: each ripple-adds.
+            counter = negative if c < 0 else positive
+            for k, bit in enumerate(bin(size)[:1:-1]):
+                if bit == "1":
+                    _add_at(counter, covered, k)
+        else:
+            pending[c] = [covered]
+            groups[c] = [0, 0, 0]
+    for c, group in groups.items():
+        for row in pending[c]:
             _add_at(group, row, 0)
-        shift, minus = key if isinstance(key, tuple) else (abs(key).bit_length() - 1, key < 0)
-        counter = negative if minus else positive
+        counter = negative if c < 0 else positive
         for i, plane in enumerate(group):
-            _add_at(counter, plane, shift + i)
+            _add_at(counter, plane, abs(c).bit_length() - 1 + i)
     # positive - negative; the final borrow is the sign plane.
     planes = []
     borrow = 0

@@ -38,14 +38,7 @@ from .automorphisms import (
     sample_indicator,
     sample_sparse,
 )
-from .counting import (
-    CUBE_BLOCK,
-    PointSet,
-    cube_blocks,
-    evaluate_batch,
-    exact_dtype,
-    sample_points,
-)
+from .counting import PointSet, cube_walk, evaluate_batch, exact_dtype, sample_points
 from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
 from .poly import Poly, poly_from_block, poly_from_text, poly_to_text, split_blocks
@@ -132,6 +125,14 @@ def sign_poly(
     return Signature(ext.apply(message_poly))
 
 
+def _message_poly(params: SchemeParams, message: bytes) -> Poly:
+    """The message's polynomial, in the fixed hashing.POLY_NVARS = params.n + 1 variables."""
+    if params.n + 1 != hashing.POLY_NVARS:
+        raise ValueError(f"message conversion is fixed at {hashing.POLY_NVARS} variables;"
+                         " use sign_poly or verify_poly for reduced profiles")
+    return hashing.message_poly(message)
+
+
 def sign(
     priv: PrivateKey,
     params: SchemeParams,
@@ -139,12 +140,7 @@ def sign(
     rng: random.Random | None = None,
 ) -> Signature:
     """Hash the message, convert to a polynomial, and apply the extended map."""
-    if params.n + 1 != hashing.POLY_NVARS:
-        raise ValueError(
-            f"message conversion is fixed at {hashing.POLY_NVARS} variables;"
-            f" use sign_poly for reduced profiles"
-        )
-    return sign_poly(priv, params, hashing.message_poly(message), rng)
+    return sign_poly(priv, params, _message_poly(params, message), rng)
 
 
 def sample_challenge(rng: random.Random) -> Poly:
@@ -188,14 +184,10 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
 
     ``points`` is a sample ``PointSet``, or None for the whole cube of the
     widest component.  The challenge is split on its last variable y as
-    f0 + y * f1, where f0 and f1 combine the other components.  The cube is
-    walked in the blocks of the widest of those, in w variables: each block
-    evaluates them, f0 and f1 once.  The last component, y, is evaluated in
-    blocks of min(CUBE_BLOCK, 2**top) points, top the cube's width, each
-    viewed as rows of 2**w points lined up with that block: the block's own
-    points and their shifts, by multiples of the larger of the y block and
-    2**w, as far as the cube reaches.  A cube of at most CUBE_BLOCK points
-    is one y block.  A point set is one block, and y on it one row.
+    f0 + y * f1, where f0 and f1 combine the other components.  Each block
+    of the walk evaluates them, f0 and f1 once, and y on each of its y
+    blocks, viewed as rows lined up with it.  A point set is one block and
+    its own y block; the cube's walk is ``counting.cube_walk``.
 
     The combine type is chosen per block: ``exact_dtype`` of the challenge's
     bound sum |c_m| * prod b_i over its terms m, ``_nested_combine`` of its
@@ -217,27 +209,17 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
     sizes = list(map(abs, coeffs))
     half = len(coeffs) // 2
     *rest, last = components
-    if points is None:
-        width = max(p.nvars for p in rest)
-        top = max(width, last.nvars)
-        cube_blocks(top)  # the enumeration limit holds for the whole cube walked
-        size = min(CUBE_BLOCK, 1 << top)
-        blocks, shifts = cube_blocks(width), range(0, 1 << top, max(size, 1 << width))
-    else:
-        blocks, shifts = [points], [0]
+    width = max(p.nvars for p in rest)
+    walk = cube_walk(width, max(width, last.nvars)) if points is None else [(points, [points])]
     count = 0
-    for block in blocks:
+    for block, ys in walk:
         vals = [evaluate_batch(p, block) for p in rest]
         bounds = [_magnitude(v) if r else 1 for v, r in zip(vals, reads)]
         dtype = exact_dtype(_nested_combine(sizes, [*bounds, 1]))
         vals = [v.astype(dtype, copy=False) if r else v for v, r in zip(vals, reads)]
         f0, f1 = _nested_combine(coeffs[:half], vals), _nested_combine(coeffs[half:], vals)
-        for s in shifts:
-            if points is None:
-                start = block.start + s
-                y = evaluate_batch(last, range(start, start + size)).reshape(-1, len(block))
-            else:
-                y = evaluate_batch(last, points)
+        for y_points in ys:
+            y = evaluate_batch(last, y_points).reshape(-1, len(block))
             if reads[-1]:
                 y = y.astype(exact_dtype(_nested_combine(sizes, [*bounds, _magnitude(y)])),
                              copy=False)
@@ -310,12 +292,7 @@ def verify(
 ) -> VerifyReport:
     if params is None:
         params = pub.params
-    if params.n + 1 != hashing.POLY_NVARS:
-        raise ValueError(
-            f"message conversion is fixed at {hashing.POLY_NVARS} variables;"
-            f" use verify_poly for reduced profiles"
-        )
-    return verify_poly(pub, hashing.message_poly(message), sig, params, rng)
+    return verify_poly(pub, _message_poly(params, message), sig, params, rng)
 
 
 # --- file formats ---

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cubesign import counting
 from cubesign.counting import (
     CUBE_BLOCK,
     EXACT_NVARS_LIMIT,
     GROUP_ROWS,
     INT64_SAFE_BOUND,
     ValueCounts,
+    cube_walk,
     estimate_positive_proportion,
     evaluate_batch,
     exact_dtype,
@@ -84,6 +86,49 @@ def test_exact_counts_at_the_enumeration_limit():
 def test_exact_counts_capacity_guard():
     with pytest.raises(CapacityError):
         exact_value_counts(Poly.zero(EXACT_NVARS_LIMIT + 1))
+
+
+# (width, top, CUBE_BLOCK) -> (blocks, points per block, y blocks per block,
+# points per y block)
+CUBE_WALKS = {
+    "14-15": ((14, 15, 1 << 18), (1, 1 << 14, 1, 1 << 15)),
+    "8-20": ((8, 20, 1 << 18), (1, 1 << 8, 4, 1 << 18)),
+    "18-19": ((18, 19, 1 << 18), (1, 1 << 18, 2, 1 << 18)),
+    "20-21": ((20, 21, 1 << 18), (4, 1 << 18, 2, 1 << 18)),
+    "24-25": ((24, 25, 1 << 18), (64, 1 << 18, 2, 1 << 18)),
+    "6-6": ((6, 6, 1 << 18), (1, 1 << 6, 1, 1 << 6)),
+    "18-18": ((18, 18, 1 << 18), (1, 1 << 18, 1, 1 << 18)),
+    "20-20": ((20, 20, 1 << 18), (4, 1 << 18, 1, 1 << 18)),
+    "14-15-small": ((14, 15, 1 << 12), (4, 1 << 12, 2, 1 << 12)),
+    "8-20-small": ((8, 20, 1 << 12), (1, 1 << 8, 256, 1 << 12)),
+    "15-15-small": ((15, 15, 1 << 12), (8, 1 << 12, 1, 1 << 12)),
+}
+
+
+@pytest.mark.parametrize("shape, expected", CUBE_WALKS.values(), ids=CUBE_WALKS.keys())
+def test_cube_walk_lines_up_the_wider_cube_with_each_block(shape, expected, monkeypatch):
+    # the block size is read from counting alone
+    width, top, block_points = shape
+    monkeypatch.setattr(counting, "CUBE_BLOCK", block_points)
+    nblocks, size, nys, y_size = expected
+    walk = cube_walk(width, top)
+    assert [block for block, _ in walk] == [range(s, s + size) for s in range(0, 1 << width, size)]
+    starts = []
+    for block, ys in walk:
+        assert len(ys) == nys
+        for y in ys:
+            assert len(y) == y_size and y.step == 1
+            # each row of len(block) points has the block's low width bits
+            rows = range(y.start, y.stop, size)
+            assert all(row & ((1 << width) - 1) == block.start for row in rows)
+            starts.append(y.start)
+    assert len(walk) == nblocks
+    assert sorted(starts) == list(range(0, 1 << top, y_size))  # the wider cube, once
+
+
+def test_cube_walk_refuses_a_cube_past_the_enumeration_limit():
+    with pytest.raises(CapacityError):
+        cube_walk(8, EXACT_NVARS_LIMIT + 1)
 
 
 def test_required_trials_reference_values():
@@ -225,8 +270,8 @@ GROUP_CASES = {
     # r rows in the +4 group and r rows in the -1 group
     **{f"{r}-rows": _grouped_poly([4] * r + [-1] * r)
        for r in (0, 1, GROUP_ROWS - 1, GROUP_ROWS, GROUP_ROWS + 1, 2 * GROUP_ROWS + 1)},
-    # coefficients of several set bits join one group per bit, beside
-    # power-of-two coefficients that share those groups
+    # coefficients of several set bits ripple-add once per bit, beside
+    # power-of-two coefficients in their groups
     "multi-bit": _grouped_poly([3, -5, 2**70 + 3, 1, -4, 2, 4, -1] * 9),
     # 17 rows of 2**62 need more than 63 planes
     "past-63-planes": _grouped_poly([2**62] * 17 + [-(2**62)] * 3),

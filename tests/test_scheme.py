@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubesign import counting, scheme
+from cubesign import counting, hashing, scheme
 from cubesign.automorphisms import extend_for_signing, sample_automorphism, sample_indicator
 from cubesign.counting import (
     CUBE_BLOCK,
@@ -206,9 +206,8 @@ def test_production_verify_counts_are_pinned():
 
 
 def use_cube_block(monkeypatch, size):
-    """Enumerate the cube in blocks of size points, in counting and scheme alike."""
+    """Enumerate the cube in blocks of size points; counting owns the walk."""
     monkeypatch.setattr(counting, "CUBE_BLOCK", size)
-    monkeypatch.setattr(scheme, "CUBE_BLOCK", size)
 
 
 def test_exhaustive_wrong_key_counts_are_pinned():
@@ -676,6 +675,37 @@ def test_wide_hostile_coefficients_verify_in_linear_time():
             times[digits].append(time.process_time() - start)
             assert (rep.reference_positive, rep.signed_positive) == expected
     assert min(times[4000]) <= 6 * min(times[1000])
+    # values past 63 planes are read in slices of points, and multi-bit
+    # coefficients ripple-add into one counter: it peaked at 70.5 MiB when the
+    # whole bit matrix was unpacked and each bit held a group of planes
+    tracemalloc.start()
+    verify(pub, b"msg", signatures[4000], rng=random.Random(1))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_parsed_key_and_signature_can_combine_in_python_ints(monkeypatch):
+    # every coefficient fits in 32 bits, yet with the images and the
+    # signature the constant 2**31 - 1 the signed side's combine bound
+    # needs 125 bits: parsed text reaches the object combine
+    _, pub = keygen(SchemeParams(), random.Random(0))
+    params_and_base = public_key_to_text(pub).split("\n\n")[:4]
+    hostile = public_key_from_text("\n\n".join(params_and_base + ["nvars=31\n2147483647:"] * 3))
+    sig = signature_from_text("nvars=32\n2147483647:\n")
+    types = recorded_types(monkeypatch)
+    rep = verify(hostile, b"msg", sig, rng=random.Random(1))
+    assert object in types
+    # the same challenge and points, recounted with Python-int products
+    rng = random.Random(1)
+    assert sample_challenge(rng) == rep.challenge
+    counts = []
+    for components in ([*hostile.base, hashing.message_poly(b"msg")], [*hostile.mapped, sig.poly]):
+        points = sample_points(32, 3000, rng)
+        masks = [sum((column >> j & 1) << i for i, column in enumerate(points.columns))
+                 for j in range(len(points))]
+        counts.append(cube_recount(rep.challenge, components, masks))
+    assert (rep.reference_positive, rep.signed_positive) == tuple(counts) == (883, 3000)
 
 
 def test_exhaustive_verify_refuses_a_cube_past_the_enumeration_limit(monkeypatch):
