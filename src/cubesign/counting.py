@@ -235,8 +235,7 @@ def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
 
     Up to 63 planes they are int64.  Wider planes are sign-extended to whole
     bytes and read ``WIDE_SLICE`` points at a time: each eight planes are
-    packed into a byte by shifts (packing across rows, or transposing bits,
-    took about three times as long), and each point's bytes are read as one
+    packed into a byte by shifts, and each point's bytes are read as one
     int, in linear time.
     """
     width = len(planes)
@@ -250,12 +249,10 @@ def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
         weights = [1 << k for k in range(width - 1)] + [-(1 << (width - 1))]
         return np.array(weights, dtype=np.int64) @ bits.astype(np.int64)
     values = []
+    shifts = np.arange(8, dtype=np.uint8)[:, None]
     for i in range(0, nbytes, WIDE_SLICE // 8):
         bits = np.unpackbits(octets[:, i:i + WIDE_SLICE // 8], axis=1, bitorder="little")
-        bits = bits.reshape(len(planes) // 8, 8, -1)
-        packed = bits[:, 7] << 7
-        for k in range(7):
-            packed |= bits[:, k] << k
+        packed = (bits.reshape(len(planes) // 8, 8, -1) << shifts).sum(axis=1, dtype=np.uint8)
         values += [int.from_bytes(row, "little", signed=True) for row in packed.T.copy()]
     return np.fromiter(values, dtype=object, count=npoints)  # drops the padding points
 
@@ -275,18 +272,16 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     ANDs of their high bits on a stack, so a shared prefix is computed once
     and at most nvars + 1 ANDs are live.
 
-    Each covered set joins the group keyed by its coefficient c when |c| is
-    a power of two.  A group of weight 2**k counts covered sets in units of
-    2**k: every ``GROUP_ROWS`` of its rows are folded by ``_fold`` into its
-    low three planes, and only the weight-8 carry ripple-adds further.  The
+    Each covered set joins one group per set bit of |c|, found in one linear
+    walk; the groups sit in list slots indexed by the bit and c's sign, and
+    a coefficient ±2**k is keyed to its one group, so its later rows skip
+    the walk.  A group of weight 2**k counts covered sets in units of 2**k:
+    every ``GROUP_ROWS`` of its rows are folded by ``_fold`` into its low
+    three planes, and only the weight-8 carry ripple-adds further.  The
     groups hold at most 2 * (coefficient bit length) * (GROUP_ROWS - 1)
-    pending rows, whatever the term count.  Any other coefficient, rare in
-    honest input, ripple-adds its covered set into the positive or the
-    negative counter once per set bit of |c|, found in one linear walk, so
-    a coefficient of thousands of digits costs time and memory linear in
-    its length.  At the end the leftover rows are added, and each group's
-    planes, shifted by k, are added into the positive or the negative
-    counter.  One bit-sliced subtraction gives two's-complement
+    pending rows, whatever the term count.  At the end the leftover rows are
+    added, and each group's planes, shifted by k, are added into the positive
+    or the negative counter.  One bit-sliced subtraction gives two's-complement
     planes, exact at any magnitude.  The result is int64 when the values
     need at most 63 planes, sign included, and an ``object`` array of
     Python ints otherwise.
@@ -302,11 +297,12 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
         )
     columns = points.columns
     terms = p.terms
-    # A coefficient ±2**k -> its pending rows, and -> its group's bit planes.
+    # Slot 2 * k + (c < 0): the pending rows and bit planes of the group of
+    # weight 2**k and c's sign; pending and groups key ±2**k to its slot's.
+    slot_rows: list[list[int]] = []
+    slot_planes: list[list[int]] = []
     pending: dict[int, list[int]] = {}
     groups: dict[int, list[int]] = {}
-    positive: list[int] = []
-    negative: list[int] = []
     # stack[d] is the AND of the columns of the d highest set bits of prev.
     stack = [(1 << len(points)) - 1]
     prev = 0
@@ -328,22 +324,26 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
             if len(rows) == GROUP_ROWS:
                 _fold(groups[c], rows)
             continue
+        # A power of two's first row, or a coefficient with several set bits.
         size = abs(c)
-        if size & (size - 1):
-            # Several set bits, found in one linear walk: each ripple-adds.
-            counter = negative if c < 0 else positive
-            for k, bit in enumerate(bin(size)[:1:-1]):
-                if bit == "1":
-                    _add_at(counter, covered, k)
-        else:
-            pending[c] = [covered]
-            groups[c] = [0, 0, 0]
-    for c, group in groups.items():
-        for row in pending[c]:
+        grow = range(2 * size.bit_length() - len(slot_rows))
+        slot_rows += [[] for _ in grow]
+        slot_planes += [[0, 0, 0] for _ in grow]
+        slots = [2 * k + (c < 0) for k, bit in enumerate(bin(size)[:1:-1]) if bit == "1"]
+        if len(slots) == 1:
+            pending[c], groups[c] = slot_rows[slots[0]], slot_planes[slots[0]]
+        for i in slots:
+            rows = slot_rows[i]
+            rows.append(covered)
+            if len(rows) == GROUP_ROWS:
+                _fold(slot_planes[i], rows)
+    positive: list[int] = []
+    negative: list[int] = []
+    for i, group in enumerate(slot_planes):
+        for row in slot_rows[i]:
             _add_at(group, row, 0)
-        counter = negative if c < 0 else positive
-        for i, plane in enumerate(group):
-            _add_at(counter, plane, abs(c).bit_length() - 1 + i)
+        for j, plane in enumerate(group):
+            _add_at(negative if i & 1 else positive, plane, i // 2 + j)
     # positive - negative; the final borrow is the sign plane.
     planes = []
     borrow = 0

@@ -675,13 +675,36 @@ def test_wide_hostile_coefficients_verify_in_linear_time():
             times[digits].append(time.process_time() - start)
             assert (rep.reference_positive, rep.signed_positive) == expected
     assert min(times[4000]) <= 6 * min(times[1000])
-    # values past 63 planes are read a slice of points at a time, and each
-    # multi-bit coefficient ripple-adds into one counter (22 MiB measured)
+    # values past 63 planes are read a slice of points at a time (28 MiB
+    # measured; 70 MiB when the whole bit matrix was unpacked at once)
     tracemalloc.start()
     verify(pub, b"msg", signatures[4000], rng=random.Random(1))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 40 * 2**20
+
+
+def test_multi_bit_coefficients_do_not_ripple_through_wide_values():
+    # a constant 2**13300 - 1 (about 4000 digits) sets 13300 planes on every
+    # point; 2000 coefficients 3 on degree-8 to 10 monomials then cover
+    # nearly every point.  Rippling each 3 into the wide counter took about
+    # 17 times as long as the same signature with 4s; in per-bit groups the
+    # two cost about the same.  The runs alternate, fastest of 3.
+    params = SchemeParams()
+    _, pub = keygen(params, random.Random(0))
+    rng = random.Random(3)
+    masks = set()
+    while len(masks) < 2000:
+        masks.add(sum(1 << v for v in rng.sample(range(params.n + 1), rng.randint(8, 10))))
+    times = {3: [], 4: []}
+    for _ in range(3):
+        for c in times:
+            sig = Signature(Poly(params.n + 1, {0: 2**13300 - 1, **dict.fromkeys(masks, c)}))
+            start = time.process_time()
+            rep = verify(pub, b"msg", sig, rng=random.Random(1))
+            times[c].append(time.process_time() - start)
+            assert (rep.reference_positive, rep.signed_positive) == (883, 939)
+    assert min(times[3]) <= 3 * min(times[4])
 
 
 def test_parsed_key_and_signature_can_combine_in_python_ints(monkeypatch):
