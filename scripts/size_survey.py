@@ -6,15 +6,23 @@ signature sizes.  The distributions are strongly right-skewed: occasional
 automorphisms blow up the mapped polynomials by an order of magnitude, so
 means sit well above medians and single-seed figures are not representative.
 
+A second table gives the ranges that admission limits on parsed text must
+admit: the p50, p99 and max of the term count, the degree and the largest
+coefficient's bit length, over the signatures and over the published
+images phi(P_j), one value per polynomial.  The default seeds start at
+1000, apart from those of the acceptance tests (0-19).
+
 Example:
-    python3 scripts/size_survey.py --keypairs 100 --seed 0
+    python3 scripts/size_survey.py --keypairs 100
 """
 
 import argparse
+import math
 import random
 import statistics
 
 from cubesign.params import parse_param_overrides
+from cubesign.poly import Poly
 from cubesign.scheme import keygen, sign
 from cubesign.sizes import measure
 
@@ -26,15 +34,30 @@ def row(label: str, values: list[float]) -> str:
             f" {v[0]:>8.2f} {v[-1]:>8.2f}")
 
 
+def range_rows(label: str, polys: list) -> list[str]:
+    """p50, p99 and max (nearest rank) of terms, degree and coefficient bits over polys."""
+    rows = []
+    for name, measure_of in (
+        ("terms", len),
+        ("degree", Poly.degree),
+        ("coeff_bits", lambda p: max((abs(c).bit_length() for c in p.terms.values()), default=0)),
+    ):
+        v = sorted(map(measure_of, polys))
+        p50, p99 = (v[math.ceil(q * len(v)) - 1] for q in (0.5, 0.99))
+        rows.append(f"{label + ' ' + name:>20} {p50:>8} {p99:>8} {v[-1]:>8}")
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--seed", type=int, default=1000, help="base RNG seed")
     parser.add_argument("--keypairs", type=int, default=50, help="keypairs to sample")
     parser.add_argument("--params", help="comma-separated overrides, e.g. d=1,r=1")
     args = parser.parse_args(argv)
 
     params = parse_param_overrides(args.params)
     sig_kb, pub_kb, priv_kb = [], [], []
+    sigs, images = [], []
     for s in range(args.keypairs):
         rng = random.Random(args.seed + s)
         priv, pub = keygen(params, rng)
@@ -42,6 +65,8 @@ def main(argv=None) -> int:
         sig_kb.append(measure([sig.poly]).kilobytes)
         pub_kb.append(measure([*pub.base, *pub.mapped]).kilobytes)
         priv_kb.append(measure(priv.aut.images).kilobytes)
+        sigs.append(sig.poly)
+        images += pub.mapped
 
     print(f"n={params.n} t={params.t} b={params.b} d={params.d} r={params.r}"
           f" keypairs={args.keypairs} (sizes in KB)")
@@ -49,6 +74,9 @@ def main(argv=None) -> int:
     print(row("signature", sig_kb))
     print(row("public", pub_kb))
     print(row("private", priv_kb))
+    print(f"{'per polynomial':>20} {'p50':>8} {'p99':>8} {'max':>8}")
+    for line in range_rows("signature", sigs) + range_rows("image", images):
+        print(line)
     return 0
 
 

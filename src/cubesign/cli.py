@@ -58,16 +58,16 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 
 
 def cmd_sign(args: argparse.Namespace) -> int:
-    params, priv = private_key_from_text(Path(args.key).read_text())
-    message = _read_message(args.message)
-    rng = _make_rng(args.seed)
-    sig = sign(priv, params, message, rng)
     if args.out:
         out = Path(args.out)
     elif args.message and args.message != "-":
         out = Path(args.message + ".sig")
     else:
         raise ValueError("reading the message from stdin requires -o")
+    params, priv = private_key_from_text(Path(args.key).read_text())
+    message = _read_message(args.message)
+    rng = _make_rng(args.seed)
+    sig = sign(priv, params, message, rng)
     out.write_text(signature_to_text(sig))
     print(f"wrote {out}")
     return 0

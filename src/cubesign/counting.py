@@ -19,14 +19,16 @@ type of the challenge's own bound over the magnitudes they take there.
 Sample points are drawn as bit-sliced columns, one ``getrandbits`` per
 variable from the caller's generator, so a seed fixes the run.
 ``sample_points`` wraps them in a ``PointSet``, shared by every polynomial
-evaluated on those points; ``evaluate_batch`` describes the bit-sliced
-kernel that counts on it.
+evaluated on those points, with the byte tables it builds from them once.
+``evaluate_batch`` describes the kernel that counts on it: a term's covered
+points from the tables, one carry-save count per coefficient.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -40,9 +42,11 @@ EXACT_NVARS_LIMIT = 25
 CUBE_BLOCK = 1 << 18
 # Points per slice when reading values wider than 63 planes.
 WIDE_SLICE = 256
-# Rows one carry-save fold adds into a group's ones, twos and fours planes;
+# Rows one carry-save pass adds into a count's ones, twos and fours planes;
 # the adder network in _fold is written for eight.
 GROUP_ROWS = 8
+# Covered sets of one coefficient built and counted at a time.
+GROUP_CHUNK = 512
 # Each integer dtype with the bound below which its values are exact.
 _EXACT_DTYPES = ((1 << 7, np.int8), (1 << 15, np.int16), (1 << 31, np.int32),
                  (INT64_SAFE_BOUND, np.int64))
@@ -179,17 +183,38 @@ class PointSet:
 
     ``columns[i]`` is an int whose bit j is x_{i+1} at point j; the set
     serves every polynomial in at most ``len(columns)`` variables.  ``len()``
-    is the number of points, ``size``.
+    is the number of points, ``size``.  ``byte_tables`` builds the set's
+    covered-set tables on first use and keeps them for later polynomials.
     """
 
-    __slots__ = ("size", "columns")
+    __slots__ = ("size", "columns", "_tables")
 
     def __init__(self, size: int, columns: list[int]) -> None:
         self.size = size
         self.columns = columns
+        self._tables: list[list[int]] | None = None
 
     def __len__(self) -> int:
         return self.size
+
+    def byte_tables(self) -> list[list[int]]:
+        """Per byte k of a mask, the points each value b of that byte covers.
+
+        Entry b of table k is the AND of the columns of b's set bits among
+        x_{8k+1}..x_{8k+8}; entry 0 is every point.  Each table is built by
+        doubling, one AND per entry.  There are four tables up to 32
+        variables and eight past that; a byte past the width has only the
+        entry 0.
+        """
+        if self._tables is None:
+            width = len(self.columns)
+            self._tables = []
+            for k in range(0, 32 if width <= 32 else 64, 8):
+                row = [(1 << self.size) - 1]
+                for column in self.columns[k:k + 8]:
+                    row += [r & column for r in row]
+                self._tables.append(row)
+        return self._tables
 
 
 def _add_at(planes: list[int], covered: int, k: int) -> None:
@@ -203,31 +228,34 @@ def _add_at(planes: list[int], covered: int, k: int) -> None:
 
 
 def _fold(planes: list[int], rows: list[int]) -> None:
-    """Add GROUP_ROWS rows into a counter whose first three planes are ones, twos, fours.
+    """Add rows into a counter whose first three planes are ones, twos, fours.
 
-    Seven carry-save adders (Harley-Seal) leave only the weight-8 carry to
-    ripple; the rows are consumed.
+    Each GROUP_ROWS rows pass seven carry-save adders (Harley-Seal), which
+    leave only the weight-8 carry to ripple; the last len(rows) % GROUP_ROWS
+    rows ripple one by one.
     """
-    r0, r1, r2, r3, r4, r5, r6, r7 = rows
     ones, twos, fours = planes[0], planes[1], planes[2]
-    # A carry-save adder of a, b, c: a ^ b ^ c stays, the majority carries.
-    u = ones ^ r0
-    twos_a, ones = (ones & r0) | (u & r1), u ^ r1
-    u = ones ^ r2
-    twos_b, ones = (ones & r2) | (u & r3), u ^ r3
-    u = twos ^ twos_a
-    fours_a, twos = (twos & twos_a) | (u & twos_b), u ^ twos_b
-    u = ones ^ r4
-    twos_a, ones = (ones & r4) | (u & r5), u ^ r5
-    u = ones ^ r6
-    twos_b, ones = (ones & r6) | (u & r7), u ^ r7
-    u = twos ^ twos_a
-    fours_b, twos = (twos & twos_a) | (u & twos_b), u ^ twos_b
-    u = fours ^ fours_a
-    eights, fours = (fours & fours_a) | (u & fours_b), u ^ fours_b
+    octets = iter(rows)
+    for r0, r1, r2, r3, r4, r5, r6, r7 in zip(*[octets] * GROUP_ROWS):
+        # A carry-save adder of a, b, c: a ^ b ^ c stays, the majority carries.
+        u = ones ^ r0
+        twos_a, ones = (ones & r0) | (u & r1), u ^ r1
+        u = ones ^ r2
+        twos_b, ones = (ones & r2) | (u & r3), u ^ r3
+        u = twos ^ twos_a
+        fours_a, twos = (twos & twos_a) | (u & twos_b), u ^ twos_b
+        u = ones ^ r4
+        twos_a, ones = (ones & r4) | (u & r5), u ^ r5
+        u = ones ^ r6
+        twos_b, ones = (ones & r6) | (u & r7), u ^ r7
+        u = twos ^ twos_a
+        fours_b, twos = (twos & twos_a) | (u & twos_b), u ^ twos_b
+        u = fours ^ fours_a
+        eights, fours = (fours & fours_a) | (u & fours_b), u ^ fours_b
+        _add_at(planes, eights, 3)
     planes[0], planes[1], planes[2] = ones, twos, fours
-    _add_at(planes, eights, 3)
-    rows.clear()
+    for row in rows[len(rows) - len(rows) % GROUP_ROWS:]:
+        _add_at(planes, row, 0)
 
 
 def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
@@ -257,6 +285,38 @@ def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=npoints)  # drops the padding points
 
 
+def _slot_counts(terms: dict[int, int], tables: list[list[int]]) -> list[list[int]]:
+    """Bit-plane counts of covered sets in slots 2 * k + (c < 0), for each set bit k of |c|.
+
+    Each coefficient's terms are counted together, as ``evaluate_batch`` describes.
+    """
+    t0, t1, t2, t3, *high = tables
+    groups: defaultdict[int, list[int]] = defaultdict(list)
+    for mask, c in terms.items():
+        groups[c].append(mask)
+    slots: list[list[int]] = []
+    for c, masks in groups.items():
+        count = [0, 0, 0]
+        for i in range(0, len(masks), GROUP_CHUNK):
+            chunk = masks[i:i + GROUP_CHUNK]
+            rows = [t0[m & 255] & t1[m >> 8 & 255] & t2[m >> 16 & 255] & t3[m >> 24 & 255]
+                    for m in chunk]
+            if high:
+                t4, t5, t6, t7 = high
+                rows = [r & t4[m >> 32 & 255] & t5[m >> 40 & 255] & t6[m >> 48 & 255]
+                        & t7[m >> 56] for r, m in zip(rows, chunk)]
+            _fold(count, rows)
+        size = abs(c)
+        slots += [[] for _ in range(2 * size.bit_length() - len(slots))]
+        for k, bit in enumerate(bin(size)[:1:-1]):
+            if bit == "1":
+                slot = slots[2 * k + (c < 0)]
+                for j, plane in enumerate(count):
+                    if plane:
+                        _add_at(slot, plane, j)
+    return slots
+
+
 def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     """Values of p at a point set, or on an aligned subcube.
 
@@ -268,23 +328,20 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
 
     Points are bit-sliced (Biham, FSE 1997): one Python int per variable,
     whose bit j is that variable at point j.  A term covers the AND of its
-    variables' columns.  Terms are walked in ascending mask order with the
-    ANDs of their high bits on a stack, so a shared prefix is computed once
-    and at most nvars + 1 ANDs are live.
+    variables' columns, read as the AND of its mask bytes' entries in the
+    point set's ``byte_tables``: three ANDs up to 32 variables, seven past.
 
-    Each covered set joins one group per set bit of |c|, found in one linear
-    walk; the groups sit in list slots indexed by the bit and c's sign, and
-    a coefficient ±2**k is keyed to its one group, so its later rows skip
-    the walk.  A group of weight 2**k counts covered sets in units of 2**k:
-    every ``GROUP_ROWS`` of its rows are folded by ``_fold`` into its low
-    three planes, and only the weight-8 carry ripple-adds further.  The
-    groups hold at most 2 * (coefficient bit length) * (GROUP_ROWS - 1)
-    pending rows, whatever the term count.  At the end the leftover rows are
-    added, and each group's planes, shifted by k, are added into the positive
-    or the negative counter.  One bit-sliced subtraction gives two's-complement
-    planes, exact at any magnitude.  The result is int64 when the values
-    need at most 63 planes, sign included, and an ``object`` array of
-    Python ints otherwise.
+    Terms are grouped by coefficient.  A group's covered sets are built
+    ``GROUP_CHUNK`` at a time and counted by ``_fold`` into bit planes:
+    Harley-Seal carry-save adders, GROUP_ROWS rows at a pass.  The count is
+    added into the slot of weight 2**k and c's sign once per set bit k of
+    |c|.  Slots count covered sets, never coefficient bits, so they stay
+    short, and wide coefficients cost time linear in their bit length.  At
+    the end each slot's planes, shifted by k, are added into the positive
+    or the negative counter.  One bit-sliced subtraction gives
+    two's-complement planes, exact at any magnitude.  The result is int64
+    when the values need at most 63 planes, sign included, and an
+    ``object`` array of Python ints otherwise.
     """
     if isinstance(points, range):
         return _subcube_values(p, points.start, _subcube_width(points))
@@ -295,54 +352,11 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
             f"a point set of width {len(points.columns)} cannot evaluate"
             f" a polynomial in {p.nvars} variables"
         )
-    columns = points.columns
-    terms = p.terms
-    # Slot 2 * k + (c < 0): the pending rows and bit planes of the group of
-    # weight 2**k and c's sign; pending and groups key ±2**k to its slot's.
-    slot_rows: list[list[int]] = []
-    slot_planes: list[list[int]] = []
-    pending: dict[int, list[int]] = {}
-    groups: dict[int, list[int]] = {}
-    # stack[d] is the AND of the columns of the d highest set bits of prev.
-    stack = [(1 << len(points)) - 1]
-    prev = 0
-    for mask in sorted(terms):
-        below = (1 << (prev ^ mask).bit_length()) - 1
-        del stack[1 + (mask & ~below).bit_count():]
-        covered = stack[-1]
-        rest = mask & below
-        while rest:
-            top = rest.bit_length() - 1
-            rest ^= 1 << top
-            covered &= columns[top]
-            stack.append(covered)
-        prev = mask
-        c = terms[mask]
-        rows = pending.get(c)
-        if rows is not None:
-            rows.append(covered)
-            if len(rows) == GROUP_ROWS:
-                _fold(groups[c], rows)
-            continue
-        # A power of two's first row, or a coefficient with several set bits.
-        size = abs(c)
-        grow = range(2 * size.bit_length() - len(slot_rows))
-        slot_rows += [[] for _ in grow]
-        slot_planes += [[0, 0, 0] for _ in grow]
-        slots = [2 * k + (c < 0) for k, bit in enumerate(bin(size)[:1:-1]) if bit == "1"]
-        if len(slots) == 1:
-            pending[c], groups[c] = slot_rows[slots[0]], slot_planes[slots[0]]
-        for i in slots:
-            rows = slot_rows[i]
-            rows.append(covered)
-            if len(rows) == GROUP_ROWS:
-                _fold(slot_planes[i], rows)
+    slots = _slot_counts(p.terms, points.byte_tables())
     positive: list[int] = []
     negative: list[int] = []
-    for i, group in enumerate(slot_planes):
-        for row in slot_rows[i]:
-            _add_at(group, row, 0)
-        for j, plane in enumerate(group):
+    for i, slot in enumerate(slots):
+        for j, plane in enumerate(slot):
             _add_at(negative if i & 1 else positive, plane, i // 2 + j)
     # positive - negative; the final borrow is the sign plane.
     planes = []

@@ -89,10 +89,13 @@ def test_verify_prints_the_report_counts(workspace, capsys, message, seed):
 
 
 def test_sign_from_stdin_needs_output_path(workspace, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(MESSAGE)))
+    buffer = io.BytesIO(MESSAGE)
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=buffer))
     rc = main(["sign", "--key", str(workspace / "k.key"), "--seed", "8"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+    # refused before the message was read
+    assert buffer.tell() == 0
 
 
 def test_sign_from_stdin_with_output_path(workspace, tmp_path, monkeypatch, capsys):

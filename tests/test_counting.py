@@ -287,6 +287,55 @@ def test_evaluate_batch_carry_save_groups_match_pointwise(p):
         assert values.dtype == (np.int64 if in_63_planes else object)
 
 
+def _assert_pointwise(p, masks, values):
+    expected = [p.evaluate(m) for m in masks]
+    assert values.tolist() == expected
+    in_63_planes = all(-(2**62) <= x < 2**62 for x in expected)
+    assert values.dtype == (np.int64 if in_63_planes else object)
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 16, 17, 31, 32, 33, 63, 64])
+def test_evaluate_batch_on_each_byte_table_boundary(width):
+    # terms on the top variable, on each byte's first and last variable and
+    # across byte edges, inserted in descending mask order
+    rng = random.Random(width)
+    edges = [b for b in range(width) if b % 8 in (0, 7)] + [width - 1]
+    masks = {0, (1 << width) - 1} | {1 << b for b in edges}
+    masks |= {(1 << b) | (1 << (b + 1)) for b in edges if b + 1 < width}
+    masks |= {rng.getrandbits(width) for _ in range(60)}
+    coeffs = (1, -1, 2, -4, 3, -5, 2**40 + 1, 2**70 - 1)
+    p = Poly(width, {m: coeffs[i % len(coeffs)] for i, m in enumerate(sorted(masks, reverse=True))})
+    points = [rng.getrandbits(width) for _ in range(301)]
+    _assert_pointwise(p, points, evaluate_batch(p, point_set(points, width)))
+
+
+def test_one_point_set_serves_polynomials_of_several_widths():
+    # the set's byte tables are built on the first call and reused; each
+    # result must equal that of a fresh set of the same columns
+    rng = random.Random(31)
+    masks = [rng.getrandbits(40) for _ in range(200)]
+    shared = point_set(masks, 40)
+    polys = [Poly(w, {rng.getrandbits(w): rng.randint(-9, 9) or 1 for _ in range(50)})
+             for w in (12, 0, 40, 33, 8, 40)]
+    for p in polys:
+        values = evaluate_batch(p, shared)
+        fresh = evaluate_batch(p, counting.PointSet(len(shared), list(shared.columns)))
+        assert values.tolist() == fresh.tolist() and values.dtype == fresh.dtype
+        _assert_pointwise(p, [m & ((1 << p.nvars) - 1) for m in masks], values)
+
+
+def test_evaluate_batch_counts_groups_longer_than_a_chunk():
+    # 2 * GROUP_CHUNK + 3 terms of -1, and more than a chunk of each of the
+    # multi-bit coefficients 7 and 2**70 + 5
+    chunk = counting.GROUP_CHUNK
+    masks = random.Random(5).sample(range(1 << 14), 4 * chunk + 30)
+    coeffs = [-1] * (2 * chunk + 3) + [7] * (chunk + 9) + [2**70 + 5] * (chunk + 18)
+    for p in (Poly(14, dict(zip(masks, coeffs))), Poly(14, dict(zip(masks, coeffs[:-chunk - 18])))):
+        rng = random.Random(6)
+        points = [rng.getrandbits(14) for _ in range(150)]
+        _assert_pointwise(p, points, evaluate_batch(p, point_set(points, 16)))
+
+
 @pytest.mark.parametrize("n_trials", [1, 7, 1100, 3000])
 @pytest.mark.parametrize("nvars", [0, 1, 31, 32, 64])
 def test_sample_points_draw_one_column_per_variable_in_order(nvars, n_trials):
@@ -327,8 +376,8 @@ def test_evaluate_batch_rejects_a_narrower_point_set():
 
 
 def test_evaluate_batch_peak_memory_stays_small():
-    # a stack of prefix ANDs and fewer than GROUP_ROWS pending rows per
-    # signed power of two; a dict cache of every prefix peaks near 17 MB here
+    # the byte tables, GROUP_CHUNK covered sets at a time and one mask list
+    # per coefficient; building every covered set at once peaks near 2.8 MB here
     for coeff in (
         lambda rng, j: rng.choice((-3, -2, -1, 1, 2, 3)),
         lambda rng, j: rng.choice((-1, 1)) * (j + 1),  # no coefficient repeats

@@ -2,11 +2,16 @@
 
 import importlib.util
 import json
+import math
+import random
 import subprocess
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+
+from cubesign.params import SchemeParams
+from cubesign.scheme import keygen, sign
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -36,6 +41,32 @@ def test_script_runs_and_prints_its_header(name, argv, header, capsys):
     assert load(name).main(argv) == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first.split()[:len(header)] == header
+
+
+def test_size_survey_reports_ranges_per_polynomial(capsys):
+    # two keypairs from the default base seed 1000: one signature each, and
+    # each key's published images
+    assert load("size_survey").main(["--keypairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5].split() == ["per", "polynomial", "p50", "p99", "max"]
+    rows = {tuple(line.split()[:2]): [int(x) for x in line.split()[2:]] for line in lines[6:]}
+    params = SchemeParams()
+    sigs, images = [], []
+    for s in range(2):
+        rng = random.Random(1000 + s)
+        priv, pub = keygen(params, rng)
+        sigs.append(sign(priv, params, f"size probe {s}".encode(), rng).poly)
+        images += pub.mapped
+    expected = {}
+    for label, polys in (("signature", sigs), ("image", images)):
+        for name, values in (
+            ("terms", [len(p.terms) for p in polys]),
+            ("degree", [p.degree() for p in polys]),
+            ("coeff_bits", [max(abs(c).bit_length() for c in p.terms.values()) for p in polys]),
+        ):
+            v = sorted(values)
+            expected[label, name] = [v[math.ceil(q * len(v)) - 1] for q in (0.5, 0.99)] + [v[-1]]
+    assert rows == expected
 
 
 def test_wrong_key_gap_exhaustive_output_is_pinned(capsys):
