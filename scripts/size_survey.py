@@ -7,9 +7,10 @@ automorphisms blow up the mapped polynomials by an order of magnitude, so
 means sit well above medians and single-seed figures are not representative.
 
 A second table gives the ranges that admission limits on parsed text must
-admit: the p50, p99 and max of the term count, the degree and the largest
-coefficient's bit length, over the signatures and over the published
-images phi(P_j), one value per polynomial.  The default seeds start at
+admit: the p50, p99 and max of the term count, the degree, the largest
+coefficient's bit length and the bit length of the cube bound sum |c|
+(which sampled counting needs below 2**62), over the signatures and over
+the published images phi(P_j), one value per polynomial.  The default seeds start at
 1000, apart from those of the acceptance tests (0-19).
 
 Example:
@@ -21,6 +22,7 @@ import math
 import random
 import statistics
 
+from cubesign.counting import value_bound
 from cubesign.params import parse_param_overrides
 from cubesign.poly import Poly
 from cubesign.scheme import keygen, sign
@@ -35,12 +37,13 @@ def row(label: str, values: list[float]) -> str:
 
 
 def range_rows(label: str, polys: list) -> list[str]:
-    """p50, p99 and max (nearest rank) of terms, degree and coefficient bits over polys."""
+    """p50, p99 and max (nearest rank) of terms, degree, coefficient and bound bits over polys."""
     rows = []
     for name, measure_of in (
         ("terms", len),
         ("degree", Poly.degree),
         ("coeff_bits", lambda p: max((abs(c).bit_length() for c in p.terms.values()), default=0)),
+        ("bound_bits", lambda p: value_bound(p).bit_length()),
     ):
         v = sorted(map(measure_of, polys))
         p50, p99 = (v[math.ceil(q * len(v)) - 1] for q in (0.5, 0.99))

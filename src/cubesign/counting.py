@@ -21,7 +21,10 @@ variable from the caller's generator, so a seed fixes the run.
 ``sample_points`` wraps them in a ``PointSet``, shared by every polynomial
 evaluated on those points, with the byte tables it builds from them once.
 ``evaluate_batch`` describes the kernel that counts on it: a term's covered
-points from the tables, one carry-save count per coefficient.
+points from the tables, one carry-save count per coefficient.  Sampled
+values are int64 only: a polynomial whose cube bound reaches
+``INT64_SAFE_BOUND`` raises ``CapacityError``, as a cube past
+``EXACT_NVARS_LIMIT`` variables does.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from .poly import INT64_SAFE_BOUND, Poly
 EXACT_NVARS_LIMIT = 25
 # Points per enumeration block: 2**18 values are 256 KiB in int8, 2 MiB in int64.
 CUBE_BLOCK = 1 << 18
-# Points per slice when reading values wider than 63 planes.
-WIDE_SLICE = 256
 # Rows one carry-save pass adds into a count's ones, twos and fours planes;
 # the adder network in _fold is written for eight.
 GROUP_ROWS = 8
@@ -259,42 +260,34 @@ def _fold(planes: list[int], rows: list[int]) -> None:
 
 
 def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
-    """Per-point values of two's-complement planes; the last plane is the sign.
-
-    Up to 63 planes they are int64.  Wider planes are sign-extended to whole
-    bytes and read ``WIDE_SLICE`` points at a time: each eight planes are
-    packed into a byte by shifts, and each point's bytes are read as one
-    int, in linear time.
-    """
-    width = len(planes)
-    if width > 63:
-        planes = planes + [planes[-1]] * (-width % 8)
+    """Per-point int64 values of at most 63 two's-complement planes; the last is the sign."""
     nbytes = (npoints + 7) // 8
     raw = b"".join(plane.to_bytes(nbytes, "little") for plane in planes)
     octets = np.frombuffer(raw, dtype=np.uint8).reshape(len(planes), nbytes)
-    if width <= 63:
-        bits = np.unpackbits(octets, axis=1, count=npoints, bitorder="little")
-        weights = [1 << k for k in range(width - 1)] + [-(1 << (width - 1))]
-        return np.array(weights, dtype=np.int64) @ bits.astype(np.int64)
-    values = []
-    shifts = np.arange(8, dtype=np.uint8)[:, None]
-    for i in range(0, nbytes, WIDE_SLICE // 8):
-        bits = np.unpackbits(octets[:, i:i + WIDE_SLICE // 8], axis=1, bitorder="little")
-        packed = (bits.reshape(len(planes) // 8, 8, -1) << shifts).sum(axis=1, dtype=np.uint8)
-        values += [int.from_bytes(row, "little", signed=True) for row in packed.T.copy()]
-    return np.fromiter(values, dtype=object, count=npoints)  # drops the padding points
+    bits = np.unpackbits(octets, axis=1, count=npoints, bitorder="little")
+    weights = [1 << k for k in range(len(planes) - 1)] + [-(1 << (len(planes) - 1))]
+    return np.array(weights, dtype=np.int64) @ bits.astype(np.int64)
 
 
-def _slot_counts(terms: dict[int, int], tables: list[list[int]]) -> list[list[int]]:
-    """Bit-plane counts of covered sets in slots 2 * k + (c < 0), for each set bit k of |c|.
+def _sign_counters(terms: dict[int, int], points: PointSet) -> tuple[list[int], list[int]]:
+    """Bit-plane counters of the positive and the negative part of the values at points.
 
-    Each coefficient's terms are counted together, as ``evaluate_batch`` describes.
+    Terms are grouped and counted by coefficient, as ``evaluate_batch``
+    describes; a cube bound sum |c| at or past ``INT64_SAFE_BOUND`` raises
+    ``CapacityError`` first.
     """
-    t0, t1, t2, t3, *high = tables
     groups: defaultdict[int, list[int]] = defaultdict(list)
     for mask, c in terms.items():
         groups[c].append(mask)
-    slots: list[list[int]] = []
+    bound = sum(abs(c) * len(masks) for c, masks in groups.items())
+    if bound >= INT64_SAFE_BOUND:
+        raise CapacityError(
+            f"sampled evaluation needs a cube bound sum |c| below 2**62,"
+            f" got one of {bound.bit_length()} bits"
+        )
+    t0, t1, t2, t3, *high = points.byte_tables()
+    positive: list[int] = []
+    negative: list[int] = []
     for c, masks in groups.items():
         count = [0, 0, 0]
         for i in range(0, len(masks), GROUP_CHUNK):
@@ -306,15 +299,12 @@ def _slot_counts(terms: dict[int, int], tables: list[list[int]]) -> list[list[in
                 rows = [r & t4[m >> 32 & 255] & t5[m >> 40 & 255] & t6[m >> 48 & 255]
                         & t7[m >> 56] for r, m in zip(rows, chunk)]
             _fold(count, rows)
-        size = abs(c)
-        slots += [[] for _ in range(2 * size.bit_length() - len(slots))]
-        for k, bit in enumerate(bin(size)[:1:-1]):
+        counter = negative if c < 0 else positive
+        for k, bit in enumerate(bin(abs(c))[:1:-1]):
             if bit == "1":
-                slot = slots[2 * k + (c < 0)]
                 for j, plane in enumerate(count):
-                    if plane:
-                        _add_at(slot, plane, j)
-    return slots
+                    _add_at(counter, plane, k + j)
+    return positive, negative
 
 
 def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
@@ -323,8 +313,9 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     A range must be an aligned subcube ``range(s, s + 2**k)``, as from
     ``cube_blocks``; it goes through the zeta transform, and its values come
     back in ``exact_dtype`` of p's cube bound, int8 to int64 or ``object``.
-    A ``PointSet`` narrower than p raises ``DimensionError``; any other
-    input ``TypeError``.
+    A ``PointSet`` narrower than p raises ``DimensionError``, and p's cube
+    bound sum |c| at or past ``INT64_SAFE_BOUND`` raises ``CapacityError``
+    before anything is counted; any other input raises ``TypeError``.
 
     Points are bit-sliced (Biham, FSE 1997): one Python int per variable,
     whose bit j is that variable at point j.  A term covers the AND of its
@@ -333,15 +324,11 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
 
     Terms are grouped by coefficient.  A group's covered sets are built
     ``GROUP_CHUNK`` at a time and counted by ``_fold`` into bit planes:
-    Harley-Seal carry-save adders, GROUP_ROWS rows at a pass.  The count is
-    added into the slot of weight 2**k and c's sign once per set bit k of
-    |c|.  Slots count covered sets, never coefficient bits, so they stay
-    short, and wide coefficients cost time linear in their bit length.  At
-    the end each slot's planes, shifted by k, are added into the positive
-    or the negative counter.  One bit-sliced subtraction gives
-    two's-complement planes, exact at any magnitude.  The result is int64
-    when the values need at most 63 planes, sign included, and an
-    ``object`` array of Python ints otherwise.
+    Harley-Seal carry-save adders, GROUP_ROWS rows at a pass.  The count,
+    shifted by k, is added into the positive or the negative counter once
+    per set bit k of |c|.  Below the bound each counter holds at most 62
+    planes, so one bit-sliced subtraction gives at most 63 two's-complement
+    planes, read as int64.
     """
     if isinstance(points, range):
         return _subcube_values(p, points.start, _subcube_width(points))
@@ -352,12 +339,7 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
             f"a point set of width {len(points.columns)} cannot evaluate"
             f" a polynomial in {p.nvars} variables"
         )
-    slots = _slot_counts(p.terms, points.byte_tables())
-    positive: list[int] = []
-    negative: list[int] = []
-    for i, slot in enumerate(slots):
-        for j, plane in enumerate(slot):
-            _add_at(negative if i & 1 else positive, plane, i // 2 + j)
+    positive, negative = _sign_counters(p.terms, points)
     # positive - negative; the final borrow is the sign plane.
     planes = []
     borrow = 0

@@ -198,8 +198,8 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
     narrower.  So each read component is cast once.  Every final value and
     every coefficient lies within the bound, and numpy arithmetic wraps, so
     the values are exact.  The challenge never multiplies a component
-    outside its support, so such values are neither reduced nor cast, and
-    may stay Python ints.
+    outside its support, so such a component is not evaluated: a wide one
+    costs nothing, and a point set does not refuse it.
     """
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
@@ -213,20 +213,21 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
     walk = cube_walk(width, max(width, last.nvars)) if points is None else [(points, [points])]
     count = 0
     for block, ys in walk:
-        vals = [evaluate_batch(p, block) for p in rest]
+        vals = [evaluate_batch(p, block) if r else 0 for p, r in zip(rest, reads)]
         bounds = [_magnitude(v) if r else 1 for v, r in zip(vals, reads)]
         dtype = exact_dtype(_nested_combine(sizes, [*bounds, 1]))
         vals = [v.astype(dtype, copy=False) if r else v for v, r in zip(vals, reads)]
         f0, f1 = _nested_combine(coeffs[:half], vals), _nested_combine(coeffs[half:], vals)
         for y_points in ys:
-            y = evaluate_batch(last, y_points).reshape(-1, len(block))
+            shape = (len(y_points) // len(block), len(block))
             if reads[-1]:
+                y = evaluate_batch(last, y_points).reshape(shape)
                 y = y.astype(exact_dtype(_nested_combine(sizes, [*bounds, _magnitude(y)])),
                              copy=False)
                 value = f1 * y
                 value += f0
             else:
-                value = np.broadcast_to(f0, y.shape)
+                value = np.broadcast_to(f0, shape)
             count += int(np.count_nonzero(value > 0))
     return count
 
@@ -247,6 +248,8 @@ def verify_poly(
     the signature.  Acceptance compares integer counts: the gap must stay
     within floor(threshold * trials).  The two sides use independently drawn
     sample points; ``exhaustive`` replaces sampling by full enumeration.
+    Sampling raises ``CapacityError`` for a component the challenge reads
+    whose cube bound reaches ``INT64_SAFE_BOUND`` (``counting.evaluate_batch``).
     """
     if params is None:
         params = pub.params

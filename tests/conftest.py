@@ -29,6 +29,16 @@ def point_set(masks, width):
     return PointSet(len(masks), columns)
 
 
+def wide_hostile_poly(nvars):
+    """32 terms of 4000-digit coefficients, about 129 KB of text."""
+    rng = random.Random(4000)
+    terms = {}
+    while len(terms) < 32:
+        coeff = rng.choice((1, -1)) * rng.randrange(10 ** 3999, 10 ** 4000)
+        terms[rng.getrandbits(nvars)] = coeff
+    return Poly(nvars, terms)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

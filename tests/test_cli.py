@@ -10,7 +10,15 @@ import pytest
 
 import cubesign
 from cubesign.cli import main
-from cubesign.scheme import public_key_from_text, signature_from_text, verify
+from cubesign.scheme import (
+    Signature,
+    public_key_from_text,
+    signature_from_text,
+    signature_to_text,
+    verify,
+)
+
+from conftest import wide_hostile_poly
 
 MESSAGE = b"cli round trip message\n"
 TAMPERED = b"cli round trip message?\n"
@@ -181,3 +189,13 @@ def test_module_verify_of_a_malformed_key_exits_2(workspace, tmp_path):
                       "--seed", "0", str(workspace / "msg.txt"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: mapped polynomial has the wrong variable count")
+
+
+def test_module_verify_of_a_wide_hostile_signature_exits_2(workspace, tmp_path):
+    # 4000-digit coefficients pass the sampled counter's int64 cube bound
+    sig = tmp_path / "wide.sig"
+    sig.write_text(signature_to_text(Signature(wide_hostile_poly(32))))
+    proc = run_module("verify", "--pub", str(workspace / "k.pub"), "--sig", str(sig),
+                      "--seed", "0", str(workspace / "msg.txt"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: sampled evaluation needs a cube bound")

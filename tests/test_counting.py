@@ -187,6 +187,11 @@ def test_sample_tuple_chunks_are_seed_deterministic():
     assert all(0 <= column < 1 << 1100 for column in a)
 
 
+def _assert_pointwise(p, masks, values):
+    assert values.tolist() == [p.evaluate(m) for m in masks]
+    assert values.dtype == np.int64
+
+
 def test_evaluate_batch_matches_pointwise():
     p = 3 * v(1, 8) * v(2, 8) - v(3, 8) + 1
     rng = random.Random(7)
@@ -196,16 +201,42 @@ def test_evaluate_batch_matches_pointwise():
 
 
 def test_evaluate_batch_exact_fallback_for_huge_coefficients():
-    big = 1 << 70
-    rng = random.Random(11)
-    terms = {rng.getrandbits(12): rng.randint(-3, 3) for _ in range(300)}
-    terms[0b101] = big
-    for p in (big * v(1, 4) - (big - 1) * v(2, 4), Poly(12, terms)):
-        assert not value_bound(p) < INT64_SAFE_BOUND
-        rng = random.Random(3)
-        masks = [rng.getrandbits(p.nvars) for _ in range(700)]
-        values = evaluate_batch(p, point_set(masks, p.nvars))
-        assert values.tolist() == [p.evaluate(m) for m in masks]
+    # a point set evaluates exactly in int64 below INT64_SAFE_BOUND and
+    # refuses a polynomial whose cube bound reaches it
+    for big in (1 << 61, 1 << 70):
+        rng = random.Random(11)
+        terms = {rng.getrandbits(12): rng.randint(-3, 3) for _ in range(300)}
+        terms[0b101] = big
+        for p in (big * v(1, 4) - (big - 1) * v(2, 4), Poly(12, terms)):
+            rng = random.Random(3)
+            masks = [rng.getrandbits(p.nvars) for _ in range(700)]
+            points = point_set(masks, p.nvars)
+            if value_bound(p) < INT64_SAFE_BOUND:
+                _assert_pointwise(p, masks, evaluate_batch(p, points))
+            else:
+                with pytest.raises(CapacityError):
+                    evaluate_batch(p, points)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("bound", [INT64_SAFE_BOUND - 1, INT64_SAFE_BOUND],
+                         ids=["below", "at"])
+def test_sampled_values_reach_the_int64_bound_and_stop_there(bound, sign):
+    # a constant, and two same-sign terms that sum to it where x1 = x2 = 1:
+    # 2**62 - 1 needs 62 planes in a counter and 63 with the sign, the
+    # widest int64 read; a cube bound of 2**62 is refused
+    half = bound // 2
+    masks = list(range(16))
+    points = point_set(masks, 4)
+    for p in (Poly.const(sign * bound, 4), Poly(4, {0b1: sign * half, 0b10: sign * (bound - half)})):
+        assert value_bound(p) == bound
+        if bound < INT64_SAFE_BOUND:
+            values = evaluate_batch(p, points)
+            _assert_pointwise(p, masks, values)
+            assert values[3] == sign * bound
+        else:
+            with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+                evaluate_batch(p, points)
 
 
 def _sparse_mask(nvars):
@@ -248,11 +279,13 @@ def test_evaluate_batch_matches_pointwise_property(case):
     p, npoints, seed = case
     rng = random.Random(seed)
     masks = [rng.getrandbits(p.nvars) for _ in range(npoints)]
-    values = evaluate_batch(p, point_set(masks, p.nvars))
-    assert values.tolist() == [p.evaluate(m) for m in masks]
-    # int64 exactly when every value fits in 63 two's-complement planes
-    in_63_planes = all(-(2**62) <= x < 2**62 for x in values.tolist())
-    assert values.dtype == (np.int64 if in_63_planes else object)
+    points = point_set(masks, p.nvars)
+    # int64 values below the cube bound INT64_SAFE_BOUND, refused at or past it
+    if value_bound(p) < INT64_SAFE_BOUND:
+        _assert_pointwise(p, masks, evaluate_batch(p, points))
+    else:
+        with pytest.raises(CapacityError):
+            evaluate_batch(p, points)
 
 
 def _grouped_poly(coeffs):
@@ -265,10 +298,10 @@ GROUP_CASES = {
     # r rows in the +4 group and r rows in the -1 group
     **{f"{r}-rows": _grouped_poly([4] * r + [-1] * r)
        for r in (0, 1, GROUP_ROWS - 1, GROUP_ROWS, GROUP_ROWS + 1, 2 * GROUP_ROWS + 1)},
-    # coefficients of several set bits join one group per bit, beside
-    # power-of-two coefficients that share those groups
-    "multi-bit": _grouped_poly([3, -5, 2**70 + 3, 1, -4, 2, 4, -1] * 9),
-    # 17 rows of 2**62 need more than 63 planes
+    # coefficients of several set bits add their count once per bit, beside
+    # power-of-two coefficients of those bits
+    "multi-bit": _grouped_poly([3, -5, 2**40 + 3, 1, -4, 2, 4, -1] * 9),
+    # cube bounds past INT64_SAFE_BOUND are refused
     "past-63-planes": _grouped_poly([2**62] * 17 + [-(2**62)] * 3),
     "constant": Poly.const(-(2**80) - 7, 12),
     "zero": Poly.zero(12),
@@ -279,19 +312,13 @@ GROUP_CASES = {
 def test_evaluate_batch_carry_save_groups_match_pointwise(p):
     rng = random.Random(len(p.terms))
     masks = [rng.getrandbits(12) for _ in range(300)]
-    expected = [p.evaluate(m) for m in masks]
-    in_63_planes = all(-(2**62) <= x < 2**62 for x in expected)
     for width in (12, 20):
-        values = evaluate_batch(p, point_set(masks, width))
-        assert values.tolist() == expected
-        assert values.dtype == (np.int64 if in_63_planes else object)
-
-
-def _assert_pointwise(p, masks, values):
-    expected = [p.evaluate(m) for m in masks]
-    assert values.tolist() == expected
-    in_63_planes = all(-(2**62) <= x < 2**62 for x in expected)
-    assert values.dtype == (np.int64 if in_63_planes else object)
+        points = point_set(masks, width)
+        if value_bound(p) < INT64_SAFE_BOUND:
+            _assert_pointwise(p, masks, evaluate_batch(p, points))
+        else:
+            with pytest.raises(CapacityError):
+                evaluate_batch(p, points)
 
 
 @pytest.mark.parametrize("width", [7, 8, 9, 16, 17, 31, 32, 33, 63, 64])
@@ -303,7 +330,7 @@ def test_evaluate_batch_on_each_byte_table_boundary(width):
     masks = {0, (1 << width) - 1} | {1 << b for b in edges}
     masks |= {(1 << b) | (1 << (b + 1)) for b in edges if b + 1 < width}
     masks |= {rng.getrandbits(width) for _ in range(60)}
-    coeffs = (1, -1, 2, -4, 3, -5, 2**40 + 1, 2**70 - 1)
+    coeffs = (1, -1, 2, -4, 3, -5, 2**40 + 1, 2**40 - 1)
     p = Poly(width, {m: coeffs[i % len(coeffs)] for i, m in enumerate(sorted(masks, reverse=True))})
     points = [rng.getrandbits(width) for _ in range(301)]
     _assert_pointwise(p, points, evaluate_batch(p, point_set(points, width)))
@@ -326,10 +353,10 @@ def test_one_point_set_serves_polynomials_of_several_widths():
 
 def test_evaluate_batch_counts_groups_longer_than_a_chunk():
     # 2 * GROUP_CHUNK + 3 terms of -1, and more than a chunk of each of the
-    # multi-bit coefficients 7 and 2**70 + 5
+    # multi-bit coefficients 7 and 2**40 + 5
     chunk = counting.GROUP_CHUNK
     masks = random.Random(5).sample(range(1 << 14), 4 * chunk + 30)
-    coeffs = [-1] * (2 * chunk + 3) + [7] * (chunk + 9) + [2**70 + 5] * (chunk + 18)
+    coeffs = [-1] * (2 * chunk + 3) + [7] * (chunk + 9) + [2**40 + 5] * (chunk + 18)
     for p in (Poly(14, dict(zip(masks, coeffs))), Poly(14, dict(zip(masks, coeffs[:-chunk - 18])))):
         rng = random.Random(6)
         points = [rng.getrandbits(14) for _ in range(150)]
@@ -377,11 +404,13 @@ def test_evaluate_batch_rejects_a_narrower_point_set():
 
 def test_evaluate_batch_peak_memory_stays_small():
     # the byte tables, GROUP_CHUNK covered sets at a time and one mask list
-    # per coefficient; building every covered set at once peaks near 2.8 MB here
+    # per coefficient; building every covered set at once peaks near 7 MiB
+    # on the one-coefficient case
     for coeff in (
         lambda rng, j: rng.choice((-3, -2, -1, 1, 2, 3)),
         lambda rng, j: rng.choice((-1, 1)) * (j + 1),  # no coefficient repeats
-        lambda rng, j: rng.choice((-1, 1)) << rng.randrange(64),
+        lambda rng, j: rng.choice((-1, 1)) << rng.randrange(40),
+        lambda rng, j: 1,  # one group of 16,000 terms
     ):
         rng = random.Random(21)
         terms = {}
@@ -398,24 +427,6 @@ def test_evaluate_batch_peak_memory_stays_small():
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-
-
-def test_evaluate_batch_reads_wide_values_in_bounded_memory():
-    # values of about 1,000 bits: an object array of every plane's bits,
-    # weighted and summed, peaks near 32 MB here
-    big = 10**300 - 1
-    p = Poly(32, {1 << i: big if i % 2 else -big for i in range(32)})
-    points = sample_points(32, 3000, random.Random(23))
-    tracemalloc.start()
-    try:
-        values = evaluate_batch(p, points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
-    for j in range(0, 3000, 97):
-        point = sum(((column >> j) & 1) << i for i, column in enumerate(points.columns))
-        assert values[j] == p.evaluate(point)
 
 
 SUBCUBE_POLYS = [

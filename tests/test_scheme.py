@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-import time
 import tracemalloc
 
 import numpy as np
@@ -44,7 +43,7 @@ from cubesign.scheme import (
     verify_poly,
 )
 
-from conftest import point_set
+from conftest import point_set, wide_hostile_poly
 
 TP = SchemeParams(n=10, trials=1000)
 
@@ -404,8 +403,8 @@ def test_challenge_exact_path_over_two_cube_blocks(monkeypatch):
 
 def test_challenge_combine_never_reads_a_component_the_challenge_does_not_use():
     # the challenge has no term on the huge component, so the combine runs in
-    # the read components' type: the huge component's values come back as
-    # Python ints and are left so, or as int64 and wrap in the cast, unread
+    # the read components' type and the huge component is never evaluated:
+    # a point set refuses it past int64, and on the cube it is Python ints
     nv = 6
     x = [Poly.variable(i, nv) for i in range(1, nv + 1)]
     challenge = Poly(CHALLENGE_NVARS, {0: -1, 0b0010: 1, 0b0100: 1, 0b0011: 2})
@@ -416,8 +415,12 @@ def test_challenge_combine_never_reads_a_component_the_challenge_does_not_use():
             components = [Poly.zero(nv), scale * (x[1] - x[2]), scale * (2 * x[3] + 1), big]
             assert exact_dtype(side_bound(challenge, components)) is dtype
             for points in (None, point_set(range(1 << nv), nv)):
-                values = evaluate_batch(big, range(1 << nv) if points is None else points)
-                assert values.dtype == (object if big_bits == 70 else np.int64)
+                if points is None or big_bits == 40:
+                    values = evaluate_batch(big, range(1 << nv) if points is None else points)
+                    assert values.dtype == (object if big_bits == 70 else np.int64)
+                else:
+                    with pytest.raises(CapacityError):
+                        evaluate_batch(big, points)
                 expected = pointwise_positive(challenge, components, range(1 << nv))
                 assert _challenge_positive(challenge, components, points) == expected
 
@@ -542,9 +545,14 @@ def test_combine_type_follows_the_block_values_not_the_cube_bound(big, dtype, po
     assert 0 < expected < 1 << nv
     assert _challenge_positive(challenge, components, None) == expected
     assert {np.int8, np.int16} & set(types) and dtype in types
-    # sample points with x17 = 0 form one block of small values
+    # sample points with x17 = 0 form one block of small values, which a
+    # point set counts only below INT64_SAFE_BOUND
     types.clear()
     samples = [rng.getrandbits(16) for _ in range(301)]
+    if dtype is object:
+        with pytest.raises(CapacityError):
+            _challenge_positive(challenge, components, point_set(samples, nv))
+        return
     expected = cube_recount(challenge, components, samples)
     assert _challenge_positive(challenge, components, point_set(samples, nv)) == expected
     assert set(types) <= {np.int8, np.int16}
@@ -652,59 +660,22 @@ def test_a_wide_last_component_is_walked_in_bounded_blocks(monkeypatch):
     assert peaks[22] < 1.25 * peaks[20]
 
 
-def test_wide_hostile_coefficients_verify_in_linear_time():
-    # 32 terms of 1000- or 4000-digit coefficients (about 33 and 129 KB of
-    # text) on a production key: each coefficient's set bits are walked
-    # once, where a walk and a wide dict key per bit took about 11 times
-    # as long at 4000 digits as at 1000.  The runs alternate, fastest of 3.
-    params = SchemeParams()
-    _, pub = keygen(params, random.Random(0))
-    signatures = {}
-    for digits in (1000, 4000):
-        rng = random.Random(digits)
-        terms = {}
-        while len(terms) < 32:
-            coeff = rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
-            terms[rng.getrandbits(params.n + 1)] = coeff
-        signatures[digits] = Signature(Poly(params.n + 1, terms))
-    times = {1000: [], 4000: []}
-    for _ in range(3):
-        for digits, expected in ((1000, (883, 2)), (4000, (883, 7))):
-            start = time.process_time()
-            rep = verify(pub, b"msg", signatures[digits], rng=random.Random(1))
-            times[digits].append(time.process_time() - start)
-            assert (rep.reference_positive, rep.signed_positive) == expected
-    assert min(times[4000]) <= 6 * min(times[1000])
-    # values past 63 planes are read a slice of points at a time (28 MiB
-    # measured; 70 MiB when the whole bit matrix was unpacked at once)
-    tracemalloc.start()
-    verify(pub, b"msg", signatures[4000], rng=random.Random(1))
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 40 * 2**20
-
-
-def test_multi_bit_coefficients_do_not_ripple_through_wide_values():
-    # a constant 2**13300 - 1 (about 4000 digits) sets 13300 planes on every
-    # point; 2000 coefficients 3 on degree-8 to 10 monomials then cover
-    # nearly every point.  Rippling each 3 into the wide counter took about
-    # 17 times as long as the same signature with 4s; in per-bit groups the
-    # two cost about the same.  The runs alternate, fastest of 3.
-    params = SchemeParams()
-    _, pub = keygen(params, random.Random(0))
-    rng = random.Random(3)
-    masks = set()
-    while len(masks) < 2000:
-        masks.add(sum(1 << v for v in rng.sample(range(params.n + 1), rng.randint(8, 10))))
-    times = {3: [], 4: []}
-    for _ in range(3):
-        for c in times:
-            sig = Signature(Poly(params.n + 1, {0: 2**13300 - 1, **dict.fromkeys(masks, c)}))
-            start = time.process_time()
-            rep = verify(pub, b"msg", sig, rng=random.Random(1))
-            times[c].append(time.process_time() - start)
-            assert (rep.reference_positive, rep.signed_positive) == (883, 939)
-    assert min(times[3]) <= 3 * min(times[4])
+def test_wide_hostile_coefficients_are_refused_in_bounded_memory():
+    # its cube bound passes INT64_SAFE_BOUND, so the signed side refuses the
+    # signature before counting, holding little more than the parsed text
+    _, pub = keygen(SchemeParams(), random.Random(0))
+    sig = Signature(wide_hostile_poly(SchemeParams().n + 1))
+    text = signature_to_text(sig)
+    assert len(text) > 128_000
+    for parse in (lambda: sig, lambda: signature_from_text(text)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+                verify(pub, b"msg", parse(), rng=random.Random(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def test_parsed_key_and_signature_can_combine_in_python_ints(monkeypatch):

@@ -63,6 +63,7 @@ def test_size_survey_reports_ranges_per_polynomial(capsys):
             ("terms", [len(p.terms) for p in polys]),
             ("degree", [p.degree() for p in polys]),
             ("coeff_bits", [max(abs(c).bit_length() for c in p.terms.values()) for p in polys]),
+            ("bound_bits", [sum(abs(c) for c in p.terms.values()).bit_length() for p in polys]),
         ):
             v = sorted(values)
             expected[label, name] = [v[math.ceil(q * len(v)) - 1] for q in (0.5, 0.99)] + [v[-1]]
