@@ -187,9 +187,19 @@ def test_sample_tuple_chunks_are_seed_deterministic():
     assert all(0 <= column < 1 << 1100 for column in a)
 
 
-def _assert_pointwise(p, masks, values):
+def _assert_sampled(p, masks, points):
+    """p's values at points, int64 and equal to a pointwise recount; None where p is refused.
+
+    A point set refuses p exactly when its cube bound reaches INT64_SAFE_BOUND.
+    """
+    if value_bound(p) >= INT64_SAFE_BOUND:
+        with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+            evaluate_batch(p, points)
+        return None
+    values = evaluate_batch(p, points)
     assert values.tolist() == [p.evaluate(m) for m in masks]
     assert values.dtype == np.int64
+    return values
 
 
 def test_evaluate_batch_matches_pointwise():
@@ -210,12 +220,8 @@ def test_evaluate_batch_exact_fallback_for_huge_coefficients():
         for p in (big * v(1, 4) - (big - 1) * v(2, 4), Poly(12, terms)):
             rng = random.Random(3)
             masks = [rng.getrandbits(p.nvars) for _ in range(700)]
-            points = point_set(masks, p.nvars)
-            if value_bound(p) < INT64_SAFE_BOUND:
-                _assert_pointwise(p, masks, evaluate_batch(p, points))
-            else:
-                with pytest.raises(CapacityError):
-                    evaluate_batch(p, points)
+            values = _assert_sampled(p, masks, point_set(masks, p.nvars))
+            assert (values is None) == (big > 1 << 61)
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
@@ -230,13 +236,9 @@ def test_sampled_values_reach_the_int64_bound_and_stop_there(bound, sign):
     points = point_set(masks, 4)
     for p in (Poly.const(sign * bound, 4), Poly(4, {0b1: sign * half, 0b10: sign * (bound - half)})):
         assert value_bound(p) == bound
+        values = _assert_sampled(p, masks, points)
         if bound < INT64_SAFE_BOUND:
-            values = evaluate_batch(p, points)
-            _assert_pointwise(p, masks, values)
             assert values[3] == sign * bound
-        else:
-            with pytest.raises(CapacityError, match="below 2\\*\\*62"):
-                evaluate_batch(p, points)
 
 
 def _sparse_mask(nvars):
@@ -279,13 +281,7 @@ def test_evaluate_batch_matches_pointwise_property(case):
     p, npoints, seed = case
     rng = random.Random(seed)
     masks = [rng.getrandbits(p.nvars) for _ in range(npoints)]
-    points = point_set(masks, p.nvars)
-    # int64 values below the cube bound INT64_SAFE_BOUND, refused at or past it
-    if value_bound(p) < INT64_SAFE_BOUND:
-        _assert_pointwise(p, masks, evaluate_batch(p, points))
-    else:
-        with pytest.raises(CapacityError):
-            evaluate_batch(p, points)
+    _assert_sampled(p, masks, point_set(masks, p.nvars))
 
 
 def _grouped_poly(coeffs):
@@ -313,12 +309,7 @@ def test_evaluate_batch_carry_save_groups_match_pointwise(p):
     rng = random.Random(len(p.terms))
     masks = [rng.getrandbits(12) for _ in range(300)]
     for width in (12, 20):
-        points = point_set(masks, width)
-        if value_bound(p) < INT64_SAFE_BOUND:
-            _assert_pointwise(p, masks, evaluate_batch(p, points))
-        else:
-            with pytest.raises(CapacityError):
-                evaluate_batch(p, points)
+        _assert_sampled(p, masks, point_set(masks, width))
 
 
 @pytest.mark.parametrize("width", [7, 8, 9, 16, 17, 31, 32, 33, 63, 64])
@@ -333,7 +324,7 @@ def test_evaluate_batch_on_each_byte_table_boundary(width):
     coeffs = (1, -1, 2, -4, 3, -5, 2**40 + 1, 2**40 - 1)
     p = Poly(width, {m: coeffs[i % len(coeffs)] for i, m in enumerate(sorted(masks, reverse=True))})
     points = [rng.getrandbits(width) for _ in range(301)]
-    _assert_pointwise(p, points, evaluate_batch(p, point_set(points, width)))
+    assert _assert_sampled(p, points, point_set(points, width)) is not None
 
 
 def test_one_point_set_serves_polynomials_of_several_widths():
@@ -345,10 +336,9 @@ def test_one_point_set_serves_polynomials_of_several_widths():
     polys = [Poly(w, {rng.getrandbits(w): rng.randint(-9, 9) or 1 for _ in range(50)})
              for w in (12, 0, 40, 33, 8, 40)]
     for p in polys:
-        values = evaluate_batch(p, shared)
+        values = _assert_sampled(p, [m & ((1 << p.nvars) - 1) for m in masks], shared)
         fresh = evaluate_batch(p, counting.PointSet(len(shared), list(shared.columns)))
         assert values.tolist() == fresh.tolist() and values.dtype == fresh.dtype
-        _assert_pointwise(p, [m & ((1 << p.nvars) - 1) for m in masks], values)
 
 
 def test_evaluate_batch_counts_groups_longer_than_a_chunk():
@@ -360,7 +350,7 @@ def test_evaluate_batch_counts_groups_longer_than_a_chunk():
     for p in (Poly(14, dict(zip(masks, coeffs))), Poly(14, dict(zip(masks, coeffs[:-chunk - 18])))):
         rng = random.Random(6)
         points = [rng.getrandbits(14) for _ in range(150)]
-        _assert_pointwise(p, points, evaluate_batch(p, point_set(points, 16)))
+        assert _assert_sampled(p, points, point_set(points, 16)) is not None
 
 
 @pytest.mark.parametrize("n_trials", [1, 7, 1100, 3000])
