@@ -80,8 +80,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         params = replace(params, trials=args.trials)
     if args.threshold is not None:
         params = replace(params, threshold=args.threshold)
-    message = _read_message(args.message)
     sig = signature_from_text(Path(args.sig).read_text())
+    message = _read_message(args.message)
     rng = _make_rng(args.seed)
     report = verify(pub, message, sig, params, rng)
     print(f"trials={report.trials}")

@@ -9,22 +9,22 @@ exhaustive verification walks them.  A block's values come from a
 subset-sum (zeta) transform of the polynomial's coefficients: k passes over
 2**k entries, so a block costs O(k * 2**k) whatever the term count.
 
-One rule picks the integer type of enumerated values: ``exact_dtype`` of a
-bound on their magnitude, the narrowest of int8, int16, int32 and int64
-that holds it, or Python ints past int64.  The zeta passes run in, and a
-block comes back in, the type of the polynomial's cube bound sum |c|,
-``value_bound``; the verifier combines a block's component values in the
-type of the challenge's own bound over the magnitudes they take there.
+One rule picks the integer type of every value counted: ``exact_dtype``
+of a bound on their magnitude, the narrowest of int8, int16, int32 and
+int64 that holds it; a bound at or past ``INT64_SAFE_BOUND`` = 2**62
+raises ``CapacityError``, as a cube past ``EXACT_NVARS_LIMIT`` variables
+does.  The zeta passes run in, and a block comes back in, the type of the
+polynomial's cube bound sum |c|, ``value_bound``; the verifier combines a
+block's component values in the type of the challenge's own bound over
+the magnitudes they take there.
 
 Sample points are drawn as bit-sliced columns, one ``getrandbits`` per
 variable from the caller's generator, so a seed fixes the run.
 ``sample_points`` wraps them in a ``PointSet``, shared by every polynomial
 evaluated on those points, with the byte tables it builds from them once.
 ``evaluate_batch`` describes the kernel that counts on it: a term's covered
-points from the tables, one carry-save count per coefficient.  Sampled
-values are int64 only: a polynomial whose cube bound reaches
-``INT64_SAFE_BOUND`` raises ``CapacityError``, as a cube past
-``EXACT_NVARS_LIMIT`` variables does.
+points from the tables, one carry-save count per coefficient; its values
+are int64, under the same rule.
 """
 
 from __future__ import annotations
@@ -104,7 +104,10 @@ def cube_walk(width: int, top: int) -> list[tuple[range, list[range]]]:
 
 
 def exact_value_counts(p: Poly) -> ValueCounts:
-    """Sign tallies of p over every cube point; O(nvars * 2**nvars), nvars <= 25 only."""
+    """Sign tallies of p over every cube point; O(nvars * 2**nvars), nvars <= 25 only.
+
+    A cube bound past int64 raises ``CapacityError`` before a block is allocated.
+    """
     pos = neg = 0
     for block in cube_blocks(p.nvars):
         values = evaluate_batch(p, block)
@@ -117,14 +120,17 @@ def exact_dtype(bound: int) -> type:
     """The narrowest integer dtype exact for values of magnitude up to bound.
 
     int8, int16 or int32 below 2**7, 2**15 or 2**31; int64 below
-    ``INT64_SAFE_BOUND``; ``object`` (Python ints) beyond.  numpy integer
-    sums and products wrap silently, so only the final values, not the
-    partial ones, have to lie within the bound.
+    ``INT64_SAFE_BOUND``.  A bound at or past it raises ``CapacityError``:
+    this is the one place counting refuses a value too wide for int64.
+    numpy integer sums and products wrap silently, so only the final
+    values, not the partial ones, have to lie within the bound.
     """
     for limit, dtype in _EXACT_DTYPES:
         if bound < limit:
             return dtype
-    return object
+    raise CapacityError(
+        f"counting needs a value bound below 2**62, got one of {bound.bit_length()} bits"
+    )
 
 
 def value_bound(p: Poly) -> int:
@@ -157,7 +163,8 @@ def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
 
     Every entry is a sum of some of p's coefficients, so the cube bound
     sum |c| bounds it.  The passes run in ``exact_dtype`` of that bound, and
-    the block comes back in it: int8 to int64, or Python ints past int64.
+    the block comes back in it, int8 to int64; a bound past int64 raises
+    ``CapacityError`` before the block is allocated.
     A pass over bit i adds rows of 2**i entries, and numpy is slow on short
     rows.  So with h = k // 2 the block starts transposed, as j's low h bits
     above its high k - h bits, and the low bits' passes run there as bits
@@ -273,18 +280,13 @@ def _sign_counters(terms: dict[int, int], points: PointSet) -> tuple[list[int], 
     """Bit-plane counters of the positive and the negative part of the values at points.
 
     Terms are grouped and counted by coefficient, as ``evaluate_batch``
-    describes; a cube bound sum |c| at or past ``INT64_SAFE_BOUND`` raises
-    ``CapacityError`` first.
+    describes; ``exact_dtype`` of the cube bound sum |c| refuses one at or
+    past ``INT64_SAFE_BOUND`` first.
     """
     groups: defaultdict[int, list[int]] = defaultdict(list)
     for mask, c in terms.items():
         groups[c].append(mask)
-    bound = sum(abs(c) * len(masks) for c, masks in groups.items())
-    if bound >= INT64_SAFE_BOUND:
-        raise CapacityError(
-            f"sampled evaluation needs a cube bound sum |c| below 2**62,"
-            f" got one of {bound.bit_length()} bits"
-        )
+    exact_dtype(sum(abs(c) * len(masks) for c, masks in groups.items()))
     t0, t1, t2, t3, *high = points.byte_tables()
     positive: list[int] = []
     negative: list[int] = []
@@ -312,10 +314,11 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
 
     A range must be an aligned subcube ``range(s, s + 2**k)``, as from
     ``cube_blocks``; it goes through the zeta transform, and its values come
-    back in ``exact_dtype`` of p's cube bound, int8 to int64 or ``object``.
-    A ``PointSet`` narrower than p raises ``DimensionError``, and p's cube
-    bound sum |c| at or past ``INT64_SAFE_BOUND`` raises ``CapacityError``
-    before anything is counted; any other input raises ``TypeError``.
+    back in ``exact_dtype`` of p's cube bound, int8 to int64.  On either
+    form, p's cube bound sum |c| at or past ``INT64_SAFE_BOUND`` raises
+    ``CapacityError`` before anything is allocated or counted.  A
+    ``PointSet`` narrower than p raises ``DimensionError``; any other input
+    raises ``TypeError``.
 
     Points are bit-sliced (Biham, FSE 1997): one Python int per variable,
     whose bit j is that variable at point j.  A term covers the AND of its

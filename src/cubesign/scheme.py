@@ -195,16 +195,16 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
     the components in its support take on the block.  f0 and f1 run in the
     type of that bound with |y| taken as 1, which covers both; each y block
     is cast to the type of the bound with its own magnitude, which is never
-    narrower.  So each read component is cast once.  Every final value and
-    every coefficient lies within the bound, and numpy arithmetic wraps, so
-    the values are exact.  The challenge never multiplies a component
-    outside its support, so such a component is not evaluated: a wide one
-    costs nothing, and a point set does not refuse it.
+    narrower.  So each component is cast once.  Every final value and every
+    coefficient lies within the bound, and numpy arithmetic wraps, so the
+    values are exact.  A bound at or past ``INT64_SAFE_BOUND`` raises
+    ``CapacityError``.  Every component is evaluated, so one whose cube bound
+    reaches it is refused whichever challenge is drawn.  The cast of a component outside
+    the challenge's support may wrap, which is safe: the coefficients on it
+    are zero halves, which ``_nested_combine`` skips, so it is never multiplied.
     """
     if len(components) != challenge.nvars:
         raise DimensionError("component count must match the challenge arity")
-    support = challenge.support()
-    reads = [support >> i & 1 for i in range(challenge.nvars)]
     coeffs = [challenge.terms.get(mask, 0) for mask in range(1 << challenge.nvars)]
     sizes = list(map(abs, coeffs))
     half = len(coeffs) // 2
@@ -213,21 +213,17 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
     walk = cube_walk(width, max(width, last.nvars)) if points is None else [(points, [points])]
     count = 0
     for block, ys in walk:
-        vals = [evaluate_batch(p, block) if r else 0 for p, r in zip(rest, reads)]
-        bounds = [_magnitude(v) if r else 1 for v, r in zip(vals, reads)]
+        vals = [evaluate_batch(p, block) for p in rest]
+        bounds = [_magnitude(v) for v in vals]
         dtype = exact_dtype(_nested_combine(sizes, [*bounds, 1]))
-        vals = [v.astype(dtype, copy=False) if r else v for v, r in zip(vals, reads)]
+        vals = [v.astype(dtype, copy=False) for v in vals]
         f0, f1 = _nested_combine(coeffs[:half], vals), _nested_combine(coeffs[half:], vals)
         for y_points in ys:
-            shape = (len(y_points) // len(block), len(block))
-            if reads[-1]:
-                y = evaluate_batch(last, y_points).reshape(shape)
-                y = y.astype(exact_dtype(_nested_combine(sizes, [*bounds, _magnitude(y)])),
-                             copy=False)
-                value = f1 * y
-                value += f0
-            else:
-                value = np.broadcast_to(f0, shape)
+            y = evaluate_batch(last, y_points).reshape(-1, len(block))
+            y = y.astype(exact_dtype(_nested_combine(sizes, [*bounds, _magnitude(y)])),
+                         copy=False)
+            value = f1 * y
+            value += f0
             count += int(np.count_nonzero(value > 0))
     return count
 
@@ -248,8 +244,8 @@ def verify_poly(
     the signature.  Acceptance compares integer counts: the gap must stay
     within floor(threshold * trials).  The two sides use independently drawn
     sample points; ``exhaustive`` replaces sampling by full enumeration.
-    Sampling raises ``CapacityError`` for a component the challenge reads
-    whose cube bound reaches ``INT64_SAFE_BOUND`` (``counting.evaluate_batch``).
+    Either mode raises ``CapacityError`` for any component whose cube bound,
+    or a challenge bound, reaches ``INT64_SAFE_BOUND`` (``counting.exact_dtype``).
     """
     if params is None:
         params = pub.params

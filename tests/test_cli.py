@@ -106,6 +106,21 @@ def test_sign_from_stdin_needs_output_path(workspace, monkeypatch, capsys):
     assert buffer.tell() == 0
 
 
+@pytest.mark.parametrize("sig_text", [None, "nvars=32\n1_0:1\n"], ids=["missing", "malformed"])
+def test_verify_from_stdin_parses_the_signature_first(workspace, tmp_path, monkeypatch, capsys,
+                                                      sig_text):
+    buffer = io.BytesIO(MESSAGE)
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=buffer))
+    sig = tmp_path / "bad.sig"
+    if sig_text is not None:
+        sig.write_text(sig_text)
+    rc = main(["verify", "--pub", str(workspace / "k.pub"), "--sig", str(sig), "--seed", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    # refused before the message was read
+    assert buffer.tell() == 0
+
+
 def test_sign_from_stdin_with_output_path(workspace, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(MESSAGE)))
     out = tmp_path / "stdin.sig"
@@ -192,10 +207,24 @@ def test_module_verify_of_a_malformed_key_exits_2(workspace, tmp_path):
 
 
 def test_module_verify_of_a_wide_hostile_signature_exits_2(workspace, tmp_path):
-    # 4000-digit coefficients pass the sampled counter's int64 cube bound
+    # 4000-digit coefficients pass the counters' int64 cube bound
     sig = tmp_path / "wide.sig"
     sig.write_text(signature_to_text(Signature(wide_hostile_poly(32))))
     proc = run_module("verify", "--pub", str(workspace / "k.pub"), "--sig", str(sig),
                       "--seed", "0", str(workspace / "msg.txt"))
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: sampled evaluation needs a cube bound")
+    assert proc.stderr.startswith("error: counting needs a value bound below 2**62")
+
+
+def test_verify_of_a_key_whose_combine_passes_int64_exits_2(workspace, tmp_path, capsys):
+    # images and signature the constant 2**31 - 1: every coefficient fits in
+    # 32 bits, yet the signed side's combine bound passes 2**62
+    blocks = (workspace / "k.pub").read_text().split("\n\n")[:4]
+    pub = tmp_path / "hostile.pub"
+    pub.write_text("\n\n".join(blocks + ["nvars=31\n2147483647:"] * 3) + "\n")
+    sig = tmp_path / "hostile.sig"
+    sig.write_text("nvars=32\n2147483647:\n")
+    rc = main(["verify", "--pub", str(pub), "--sig", str(sig), "--seed", "1",
+               str(workspace / "msg.txt")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: counting needs a value bound below 2**62")

@@ -27,7 +27,7 @@ from cubesign.counting import (
 from cubesign.errors import CapacityError, DimensionError
 from cubesign.poly import Poly
 
-from conftest import point_set, poly_strategy
+from conftest import point_set, poly_strategy, wide_hostile_poly
 
 
 def v(i, n):
@@ -86,6 +86,21 @@ def test_exact_counts_at_the_enumeration_limit():
 def test_exact_counts_capacity_guard():
     with pytest.raises(CapacityError):
         exact_value_counts(Poly.zero(EXACT_NVARS_LIMIT + 1))
+
+
+def test_exact_counts_refuse_a_wide_polynomial_in_bounded_memory():
+    # 4000-digit coefficients and a 4000-digit constant: every entry of the
+    # 2**14-point block would be a 13,300-bit int, so the block is refused
+    # before it is allocated
+    p = wide_hostile_poly(14) + Poly.const(10 ** 3999, 14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+            exact_value_counts(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # (width, top, CUBE_BLOCK) -> (blocks, points per block, y blocks per block,
@@ -422,7 +437,7 @@ def test_evaluate_batch_peak_memory_stays_small():
 SUBCUBE_POLYS = [
     3 * v(1, 8) * v(2, 8) - v(3, 8) * v(8, 8) + 1 - 2 * v(5, 8) * v(6, 8) * v(7, 8),
     Poly.const(-7, 0),
-    # the cube bound passes 2**62, forcing exact Python integers
+    # the cube bound passes 2**62, so every block is refused
     Poly(8, {0b11: INT64_SAFE_BOUND - 1, 0b10000100: -(INT64_SAFE_BOUND - 3), 0: 5}),
     # cube bounds 2**b - 1 and 2**b for b = 31, 7, 15, each reached at the
     # all-ones point: the passes may run in int32, int8 or int16 for the
@@ -442,9 +457,13 @@ SUBCUBE_POLYS = [
     (INT64_SAFE_BOUND - 1, np.int64), (INT64_SAFE_BOUND, object), (1 << 70, object),
 ])
 def test_exact_dtype_is_the_narrowest_type_holding_the_bound(bound, dtype):
+    # object marks a bound past every integer type: it is refused
+    if dtype is object:
+        with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+            exact_dtype(bound)
+        return
     assert exact_dtype(bound) is dtype
-    if dtype is not object:
-        assert np.iinfo(dtype).min < -bound and bound <= np.iinfo(dtype).max
+    assert np.iinfo(dtype).min < -bound and bound <= np.iinfo(dtype).max
 
 
 @pytest.mark.parametrize("p", SUBCUBE_POLYS)
@@ -454,6 +473,10 @@ def test_evaluate_batch_on_aligned_subcubes_matches_pointwise(p):
     for k in range(p.nvars + 1):
         for start in range(0, total, 2 ** k):
             block = range(start, start + 2 ** k)
+            if value_bound(p) >= INT64_SAFE_BOUND:
+                with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+                    evaluate_batch(p, block)
+                continue
             values = evaluate_batch(p, block)
             assert values.dtype == exact_dtype(value_bound(p))
             assert values.tolist() == [p.evaluate(x) for x in block]

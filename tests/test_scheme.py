@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubesign import counting, hashing, scheme
+from cubesign import counting, scheme
 from cubesign.automorphisms import extend_for_signing, sample_automorphism, sample_indicator
 from cubesign.counting import (
     CUBE_BLOCK,
@@ -323,7 +323,8 @@ def test_exhaustive_verify_matches_whole_cube_recount_in_small_blocks(monkeypatc
 
 
 def test_challenge_exact_path_matches_pointwise_recount():
-    # each component fits int64 on its own; their products under the challenge do not
+    # each component fits int64 on its own; their products under the challenge
+    # do not, so the combine is refused, where the pointwise recount still runs
     rng = random.Random(17)
     nv = 8
     components = [
@@ -339,8 +340,9 @@ def test_challenge_exact_path_matches_pointwise_recount():
     combined = combine(challenge, components)
     expected = sum(combined.evaluate(point) > 0 for point in range(1 << nv))
     assert 0 < expected < 1 << nv
-    points = point_set(range(1 << nv), nv)
-    assert _challenge_positive(challenge, components, points) == expected
+    for points in (None, point_set(range(1 << nv), nv)):
+        with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+            _challenge_positive(challenge, components, points)
 
 
 def pointwise_positive(challenge, components, points):
@@ -370,6 +372,12 @@ def test_challenge_combine_matches_pointwise_recount(terms, magnitude):
     challenge = Poly(CHALLENGE_NVARS, terms)
     assert (side_bound(challenge, components) < INT64_SAFE_BOUND) == (magnitude == 4)
     samples = [rng.getrandbits(nv) for _ in range(300)]
+    if magnitude > 4:
+        # the combine bound passes int64: refused on both paths
+        for given in (point_set(samples, nv), None):
+            with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+                _challenge_positive(challenge, components, given)
+        return
     for given, points in ((point_set(samples, nv), samples), (None, range(1 << nv))):
         expected = pointwise_positive(challenge, components, points)
         assert _challenge_positive(challenge, components, given) == expected
@@ -380,7 +388,8 @@ def test_challenge_combine_matches_pointwise_recount(terms, magnitude):
 
 
 def test_challenge_exact_path_over_two_cube_blocks(monkeypatch):
-    # coefficients near 2**40, so the products need Python ints, over 2**17 points
+    # coefficients near 2**40, so the products pass int64 over 2**17 points:
+    # the first block refuses the combine
     use_cube_block(monkeypatch, 1 << 16)
     rng = random.Random(23)
     nv = 17
@@ -395,19 +404,24 @@ def test_challenge_exact_path_over_two_cube_blocks(monkeypatch):
     challenge = Poly(CHALLENGE_NVARS, {0: -5, 0b0011: 1, 0b0101: -2, 0b1110: 2, 0b1111: 1})
     assert not side_bound(challenge, components) < INT64_SAFE_BOUND
     assert len(cube_blocks(nv)) == 2
-    expected = exact_value_counts(combine(challenge, components)).positive
-    assert expected == cube_recount(challenge, components)
-    assert 0 < expected < 1 << nv
-    assert _challenge_positive(challenge, components, None) == expected
+    # the exact oracle refuses the materialized product as well
+    with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+        exact_value_counts(combine(challenge, components))
+    calls = recorded_calls(monkeypatch)
+    with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+        _challenge_positive(challenge, components, None)
+    assert [points for _, points in calls] == [cube_blocks(nv)[0]] * 3
 
 
-def test_challenge_combine_never_reads_a_component_the_challenge_does_not_use():
-    # the challenge has no term on the huge component, so the combine runs in
-    # the read components' type and the huge component is never evaluated:
-    # a point set refuses it past int64, and on the cube it is Python ints
+def test_challenge_combine_casts_an_unread_component_without_using_it(monkeypatch):
+    # the challenge has no term on the big component, so the combine runs in
+    # the read components' type: the big component is evaluated and cast to
+    # it, where its values may wrap, but never multiplied.  Past int64 it is
+    # refused, as the challenge does not save it.
     nv = 6
     x = [Poly.variable(i, nv) for i in range(1, nv + 1)]
     challenge = Poly(CHALLENGE_NVARS, {0: -1, 0b0010: 1, 0b0100: 1, 0b0011: 2})
+    types = recorded_types(monkeypatch)
     for scale, dtype in ((1, np.int8), (1 << 10, np.int16), (1 << 20, np.int32),
                          (1 << 40, np.int64)):
         for big_bits in (70, 40):
@@ -415,24 +429,26 @@ def test_challenge_combine_never_reads_a_component_the_challenge_does_not_use():
             components = [Poly.zero(nv), scale * (x[1] - x[2]), scale * (2 * x[3] + 1), big]
             assert exact_dtype(side_bound(challenge, components)) is dtype
             for points in (None, point_set(range(1 << nv), nv)):
-                if points is None or big_bits == 40:
-                    values = evaluate_batch(big, range(1 << nv) if points is None else points)
-                    assert values.dtype == (object if big_bits == 70 else np.int64)
-                else:
-                    with pytest.raises(CapacityError):
-                        evaluate_batch(big, points)
+                if big_bits == 70:
+                    with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+                        _challenge_positive(challenge, components, points)
+                    continue
+                types.clear()
                 expected = pointwise_positive(challenge, components, range(1 << nv))
                 assert _challenge_positive(challenge, components, points) == expected
+                assert set(types) == {dtype}
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
-@pytest.mark.parametrize("bits, side, dtype", [(15, 31, np.int16), (31, 1290, np.int32)],
-                         ids=["int16", "int32"])
+@pytest.mark.parametrize("bits, side, dtype", [(15, 31, np.int16), (31, 1290, np.int32),
+                                               (62, 1_600_000, np.int64)],
+                         ids=["int16", "int32", "int64"])
 def test_challenge_combine_reaches_its_bound_in_a_narrow_type(bits, side, dtype, sign):
     # challenge x1*x2*x3 + d*x4 on components of positive coefficients that
     # sum to side, side, side and 1: at the all-ones point every term takes
     # its bound, so the combined value is sign * (2**bits - 1), the largest
-    # magnitude the narrow type holds.  A narrower type would wrap it.
+    # magnitude the narrow type holds.  A narrower type would wrap it; at 62
+    # bits, d + 1 makes the bound 2**62, which is refused.
     rng = random.Random(bits)
     nv = 8
     ones = (1 << nv) - 1
@@ -455,18 +471,25 @@ def test_challenge_combine_reaches_its_bound_in_a_narrow_type(bits, side, dtype,
         expected = cube_recount(challenge, components, points)
         assert _challenge_positive(challenge, components, given) == expected
     assert (expected > 0) == (sign > 0)
+    if bits == 62:
+        challenge = Poly(CHALLENGE_NVARS, {0b0111: sign, 0b1000: sign * (d + 1)})
+        assert side_bound(challenge, components) == INT64_SAFE_BOUND
+        for given in (point_set(samples, nv), None):
+            with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+                _challenge_positive(challenge, components, given)
 
 
 def test_challenge_combine_bounds_coefficients_on_a_zero_component():
-    # a zero component must not hide the 2**70 coefficient from the int64 check
+    # a zero component must not hide the 2**70 coefficient from the int64
+    # check: the combine is refused on both paths
     nv = 4
     x = [Poly.variable(i, nv) for i in range(1, nv + 1)]
     components = [Poly.zero(nv), x[1] - x[2], x[0] + 1, x[3]]
     challenge = Poly(CHALLENGE_NVARS, {0b11: 1 << 70, 0b1: 1})
     assert not side_bound(challenge, components) < INT64_SAFE_BOUND
     for points in (None, point_set(range(1 << nv), nv)):
-        expected = pointwise_positive(challenge, components, range(1 << nv))
-        assert _challenge_positive(challenge, components, points) == expected
+        with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+            _challenge_positive(challenge, components, points)
 
 
 @pytest.mark.parametrize("exhaustive", [False, True])
@@ -493,6 +516,8 @@ def test_narrow_components_broadcast_over_a_wider_block(widths, magnitude):
     # the whole cube of the widest component is counted: a last component
     # wider than the others is evaluated on their block and its shift, a
     # narrower one on their block.  The fixed challenge's f1 is one component.
+    # With coefficients past 2**40 every challenge's combine passes int64 and
+    # is refused.
     rng = random.Random(sum(widths))
     components = [
         Poly(nv, {rng.randrange(1 << nv): rng.choice((1, -1)) * rng.randrange(1, magnitude)
@@ -504,6 +529,10 @@ def test_narrow_components_broadcast_over_a_wider_block(widths, magnitude):
     fixed = Poly(CHALLENGE_NVARS, {0: -1, 0b0001: 1, 0b0010: 2, 0b1100: 1})
     for challenge in [fixed] + [sample_challenge(random.Random(seed)) for seed in range(4)]:
         assert (side_bound(challenge, components) < INT64_SAFE_BOUND) == (magnitude == 4)
+        if magnitude > 4:
+            with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+                _challenge_positive(challenge, components, None)
+            continue
         expected = cube_recount(challenge, widened)
         assert 0 < expected < 1 << top
         assert _challenge_positive(challenge, components, None) == expected
@@ -527,8 +556,10 @@ def recorded_types(monkeypatch):
 def test_combine_type_follows_the_block_values_not_the_cube_bound(big, dtype, position,
                                                                   monkeypatch):
     # one component has a big coefficient on a term of x17, so its cube bound
-    # needs int64 or Python ints, but on the 2**16-point block where x17 = 0
-    # its values are small: that block combines in a narrow type, the other in dtype
+    # needs int64, or passes it, but on the 2**16-point block where x17 = 0
+    # its values are small: that block combines in a narrow type, the other
+    # in int64.  Past int64 the component is refused on either path, since
+    # each block evaluates it whole.
     use_cube_block(monkeypatch, 1 << 16)
     rng = random.Random(position + big.bit_length())
     nv = 17
@@ -538,21 +569,22 @@ def test_combine_type_follows_the_block_values_not_the_cube_bound(big, dtype, po
         for _ in range(CHALLENGE_NVARS)
     ]
     components[position] += Poly(nv, {1 << 16 | 0b1: big, 1 << 16 | 0b110: -big})
-    assert exact_dtype(value_bound(components[position])) is dtype
     challenge = Poly(CHALLENGE_NVARS, {0: -1, 0b0001: 1, 0b0110: 2, 0b1000: 1, 0b1011: -1})
+    samples = [rng.getrandbits(16) for _ in range(301)]
+    if dtype is object:
+        assert value_bound(components[position]) >= INT64_SAFE_BOUND
+        for given in (None, point_set(samples, nv)):
+            with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+                _challenge_positive(challenge, components, given)
+        return
+    assert exact_dtype(value_bound(components[position])) is dtype
     types = recorded_types(monkeypatch)
     expected = cube_recount(challenge, components)
     assert 0 < expected < 1 << nv
     assert _challenge_positive(challenge, components, None) == expected
     assert {np.int8, np.int16} & set(types) and dtype in types
-    # sample points with x17 = 0 form one block of small values, which a
-    # point set counts only below INT64_SAFE_BOUND
+    # sample points with x17 = 0 form one block of small values
     types.clear()
-    samples = [rng.getrandbits(16) for _ in range(301)]
-    if dtype is object:
-        with pytest.raises(CapacityError):
-            _challenge_positive(challenge, components, point_set(samples, nv))
-        return
     expected = cube_recount(challenge, components, samples)
     assert _challenge_positive(challenge, components, point_set(samples, nv)) == expected
     assert set(types) <= {np.int8, np.int16}
@@ -580,19 +612,20 @@ def test_combine_type_holds_a_block_peak_at_a_type_edge(peak, sign, position):
 
 
 @pytest.mark.parametrize("position", range(CHALLENGE_NVARS))
-def test_an_unread_component_past_int64_is_left_as_python_ints(position):
-    # values reach 2**63 on a component the challenge never reads: casting
-    # them to the narrow combine type would raise OverflowError
+def test_an_unread_component_past_int64_is_refused(position):
+    # values reach 2**63 on a component the challenge never reads: it is
+    # refused all the same, so whether a key is refused does not hang on
+    # the challenge drawn
     nv = 6
     components = [Poly.variable(i, nv) - Poly.variable(nv - i, nv)
                   for i in range(1, CHALLENGE_NVARS + 1)]
     components[position] = Poly(nv, {0b1: 1 << 63, 0b110: 3})
     reads = [i for i in range(CHALLENGE_NVARS) if i != position]
     challenge = Poly(CHALLENGE_NVARS, {0: 1, 1 << reads[0]: 2, (1 << reads[1]) | (1 << reads[2]): -3})
-    for given, points in ((None, None), (point_set(range(1 << nv), nv), range(1 << nv))):
-        expected = cube_recount(challenge, components, points)
-        assert 0 < expected < 1 << nv
-        assert _challenge_positive(challenge, components, given) == expected
+    assert 0 < cube_recount(challenge, components) < 1 << nv
+    for given in (None, point_set(range(1 << nv), nv)):
+        with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+            _challenge_positive(challenge, components, given)
 
 
 def recorded_calls(monkeypatch):
@@ -678,27 +711,38 @@ def test_wide_hostile_coefficients_are_refused_in_bounded_memory():
         assert peak < 4 * 2**20
 
 
-def test_parsed_key_and_signature_can_combine_in_python_ints(monkeypatch):
+def test_exhaustive_verify_refuses_wide_hostile_coefficients_in_bounded_memory():
+    # with a 4000-digit constant every zeta entry of the signature's block
+    # would be a 13,300-bit int; its cube bound passes INT64_SAFE_BOUND, so
+    # the block is refused before it is allocated
+    params = SchemeParams(n=14, trials=1000)
+    _, pub = keygen(params, random.Random(0))
+    m = params.n + 1
+    q = Poly.variable(1, m) - Poly.variable(2, m)
+    sig = Signature(wide_hostile_poly(m) + Poly.const(10 ** 3999, m))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+            verify_poly(pub, q, sig, params=params, rng=random.Random(1), exhaustive=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_parsed_key_and_signature_past_int64_are_refused(monkeypatch):
     # every coefficient fits in 32 bits, yet with the images and the
     # signature the constant 2**31 - 1 the signed side's combine bound
-    # needs 125 bits: parsed text reaches the object combine
+    # needs 95 bits over the images alone: parsed text reaches the refusal,
+    # after the reference side has combined in a narrow type
     _, pub = keygen(SchemeParams(), random.Random(0))
     params_and_base = public_key_to_text(pub).split("\n\n")[:4]
     hostile = public_key_from_text("\n\n".join(params_and_base + ["nvars=31\n2147483647:"] * 3))
     sig = signature_from_text("nvars=32\n2147483647:\n")
     types = recorded_types(monkeypatch)
-    rep = verify(hostile, b"msg", sig, rng=random.Random(1))
-    assert object in types
-    # the same challenge and points, recounted with Python-int products
-    rng = random.Random(1)
-    assert sample_challenge(rng) == rep.challenge
-    counts = []
-    for components in ([*hostile.base, hashing.message_poly(b"msg")], [*hostile.mapped, sig.poly]):
-        points = sample_points(32, 3000, rng)
-        masks = [sum((column >> j & 1) << i for i, column in enumerate(points.columns))
-                 for j in range(len(points))]
-        counts.append(cube_recount(rep.challenge, components, masks))
-    assert (rep.reference_positive, rep.signed_positive) == tuple(counts) == (883, 3000)
+    with pytest.raises(CapacityError, match="below 2\\*\\*62, got one of 95 bits"):
+        verify(hostile, b"msg", sig, rng=random.Random(1))
+    assert types and set(types) <= {np.int8, np.int16, np.int32, np.int64}
 
 
 def test_exhaustive_verify_refuses_a_cube_past_the_enumeration_limit(monkeypatch):
