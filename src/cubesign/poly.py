@@ -342,45 +342,42 @@ def _mul_terms_int64(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, in
 
 
 def _byte_indices(k: int) -> tuple[str, ...]:
-    """The written indices of each byte value at byte offset k of a mask.
+    """The written indices of each byte value at byte offset k of a mask, each with a comma after.
 
-    Entry b is entry b without its top bit, then the index of that bit, so
-    the row costs one short string per entry to build.
+    Entry 0 is empty.  Entry b is entry b without its top bit, then that bit's
+    index and a comma, so the row costs one short string per entry to build.
     """
     row = [""]
     for b in range(1, 256):
         top = b.bit_length()
-        rest = row[b ^ (1 << (top - 1))]
-        row.append(f"{rest},{8 * k + top}" if rest else str(8 * k + top))
+        row.append(f"{row[b ^ (1 << (top - 1))]}{8 * k + top},")
     return tuple(row)
 
 
 # _BYTE_INDICES[k][b]: the written indices of byte value b at byte offset k
-# of a mask, e.g. _BYTE_INDICES[1][0b1011] == "9,10,12".
+# of a mask, each with a comma after, e.g. _BYTE_INDICES[1][0b1011] == "9,10,12,".
 _BYTE_INDICES = tuple(_byte_indices(k) for k in range(NVARS_MAX // 8))
 
 
 def poly_to_text(p: Poly) -> str:
     """Canonical block: ``nvars=<k>`` then one ``<coeff>:<indices>`` line per term.
 
-    Terms are written in ascending mask order.  A term's indices are the
-    comma join of the ``_BYTE_INDICES`` entries of its mask's nonzero bytes,
-    low byte first, so each mask costs at most eight table lookups.
+    Terms are written in ascending mask order, each as one f-string over the
+    ``_BYTE_INDICES`` entries of its mask's bytes: four lookups up to 32 variables,
+    eight past that.  Each line's last comma is then dropped from the joined text.
     """
     terms = p.terms
+    r0, r1, r2, r3, r4, r5, r6, r7 = _BYTE_INDICES
     lines = [f"nvars={p.nvars}"]
-    for mask in sorted(terms):
-        parts = []
-        rest = mask
-        for row in _BYTE_INDICES:
-            if not rest:
-                break
-            b = rest & 255
-            if b:
-                parts.append(row[b])
-            rest >>= 8
-        lines.append(f"{terms[mask]}:{','.join(parts)}")
-    return "\n".join(lines)
+    if p.nvars <= 32:
+        lines += [f"{terms[m]}:{r0[m & 255]}{r1[m >> 8 & 255]}{r2[m >> 16 & 255]}{r3[m >> 24]}"
+                  for m in sorted(terms)]
+    else:
+        lines += [f"{terms[m]}:{r0[m & 255]}{r1[m >> 8 & 255]}{r2[m >> 16 & 255]}"
+                  f"{r3[m >> 24 & 255]}{r4[m >> 32 & 255]}{r5[m >> 40 & 255]}"
+                  f"{r6[m >> 48 & 255]}{r7[m >> 56]}" for m in sorted(terms)]
+    # Only a line's last comma can come before a newline; the header has none.
+    return "\n".join(lines).replace(",\n", "\n").rstrip(",")
 
 
 def split_blocks(text: str) -> list[list[str]]:

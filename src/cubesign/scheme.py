@@ -38,7 +38,7 @@ from .automorphisms import (
     sample_indicator,
     sample_sparse,
 )
-from .counting import PointSet, cube_walk, evaluate_batch, exact_dtype, sample_points
+from .counting import PointSet, cube_walk, evaluate_batch, exact_dtype, sample_points, value_bound
 from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
 from .poly import Poly, poly_from_block, poly_from_text, poly_to_text, split_blocks
@@ -244,8 +244,9 @@ def verify_poly(
     the signature.  Acceptance compares integer counts: the gap must stay
     within floor(threshold * trials).  The two sides use independently drawn
     sample points; ``exhaustive`` replaces sampling by full enumeration.
-    Either mode raises ``CapacityError`` for any component whose cube bound,
-    or a challenge bound, reaches ``INT64_SAFE_BOUND`` (``counting.exact_dtype``).
+    Either mode raises ``CapacityError`` for any component whose cube bound
+    reaches ``INT64_SAFE_BOUND`` (``counting.exact_dtype``) before either side
+    is counted, and for a challenge bound that reaches it while counting.
     """
     if params is None:
         params = pub.params
@@ -261,6 +262,8 @@ def verify_poly(
     for p in (*pub.base, *pub.mapped):
         if p.nvars != params.n:
             raise DimensionError("public key polynomials disagree with the parameter set")
+    for p in (*pub.base, message_poly, *pub.mapped, sig.poly):
+        exact_dtype(value_bound(p))
     challenge = sample_challenge(rng)
     total = 1 << m if exhaustive else params.trials
     # The reference side, then the signed side, each on its own sample points

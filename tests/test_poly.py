@@ -351,6 +351,11 @@ def wide_polys(draw):
 @example(Poly(NVARS_MAX, {0: 2**200, 1 << 63: -1, (1 << 64) - 1: -(2**200), 0x8000_0000_0100_0001: 2}))
 # both sides of the edge of the parser's table of small coefficients
 @example(Poly(3, {0: 64, 1: -64, 2: 65, 3: -65, 4: 2**200}))
+# both sides of the writer's 32-variable edge between four and eight byte lookups
+@example(Poly(32, {1 << 31: 1, (1 << 24) | 1: -3, 0: 5}))
+@example(Poly(33, {1 << 32: 2, (1 << 31) | 1: 1}))
+# a mask whose middle bytes are zero
+@example(Poly(31, {(1 << 30) | 1: 7}))
 def test_text_round_trip(p):
     text = poly_to_text(p)
     assert poly_from_text(text) == p

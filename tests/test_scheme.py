@@ -730,6 +730,27 @@ def test_exhaustive_verify_refuses_wide_hostile_coefficients_in_bounded_memory()
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["sampled", "exhaustive"])
+@pytest.mark.parametrize("wide_side", ["message", "signature"])
+def test_a_wide_component_is_refused_before_either_side_is_counted(
+    monkeypatch, exhaustive, wide_side
+):
+    # every component's cube bound is checked up front, so neither side's
+    # components are evaluated when any one of them is past int64
+    priv, pub = keygen(TP, random.Random(0))
+    m = TP.n + 1
+    q = synth_q(m, random.Random(1))
+    sig = sign_poly(priv, TP, q, random.Random(2))
+    if wide_side == "message":
+        q = wide_hostile_poly(m)
+    else:
+        sig = Signature(wide_hostile_poly(m))
+    calls = recorded_calls(monkeypatch)
+    with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+        verify_poly(pub, q, sig, params=TP, rng=random.Random(3), exhaustive=exhaustive)
+    assert calls == []
+
+
 def test_parsed_key_and_signature_past_int64_are_refused(monkeypatch):
     # every coefficient fits in 32 bits, yet with the images and the
     # signature the constant 2**31 - 1 the signed side's combine bound
