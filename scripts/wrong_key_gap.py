@@ -1,15 +1,22 @@
 """Distribution of the verifier's count gap for honest and forged signatures.
 
 For each seeded cycle the script generates a keypair, signs a message with
-the true key and with an independently sampled wrong key, and verifies both
-against the true public key.  It reports acceptance rates and quantiles of
-the observed proportion gap |p_R - p_S| for the two populations.  With
---exhaustive (n <= 24) the gap is computed over the full cube and the
-sampling noise disappears, which isolates the structural separation the
-threshold has to detect.
+the true key, forges a signature of it, and verifies both against the true
+public key.  It reports acceptance rates and quantiles of the observed
+proportion gap |p_R - p_S| for the two populations.  With --exhaustive
+(n <= 24) the gap is computed over the full cube and the sampling noise
+disappears, which isolates the structural separation the threshold has to
+detect.
+
+--forger picks the forged population:
+    wrong-key  the message signed with an independently sampled key (default)
+    identity   the message polynomial itself, unsigned
+    permuted   the message polynomial with its n + 1 variables permuted at random
+    constant   the constant polynomial 1
+Only wrong-key uses a key; the other three need nothing the public key holds.
 
 Example:
-    python3 scripts/wrong_key_gap.py --cycles 60 --params n=12 --exhaustive
+    python3 scripts/wrong_key_gap.py --cycles 60 --params n=12 --exhaustive --forger identity
 """
 
 import argparse
@@ -17,14 +24,29 @@ import random
 import statistics
 from dataclasses import replace
 
-from cubesign.automorphisms import sample_automorphism, sample_sparse
+from cubesign.automorphisms import random_permutation, sample_automorphism, sample_sparse
 from cubesign.params import parse_param_overrides
-from cubesign.scheme import PrivateKey, keygen, sign_poly, verify_poly
+from cubesign.poly import Poly
+from cubesign.scheme import PrivateKey, Signature, keygen, sign_poly, verify_poly
+
+FORGERS = ("wrong-key", "identity", "permuted", "constant")
 
 
 def quantiles(values):
     v = sorted(values)
     return v[0], v[len(v) // 4], statistics.median(v), v[(3 * len(v)) // 4], v[-1]
+
+
+def forge(forger: str, params, q: Poly, seed: int) -> Signature:
+    """A forged signature of q from the named population; seed drives its randomness."""
+    if forger == "wrong-key":
+        wrong = PrivateKey(sample_automorphism(params, random.Random(seed)))
+        return sign_poly(wrong, params, q, random.Random(seed + 100_000))
+    if forger == "identity":
+        return Signature(q)
+    if forger == "permuted":
+        return Signature(random_permutation(q.nvars, random.Random(seed)).apply(q))
+    return Signature(Poly.const(1, q.nvars))
 
 
 def main(argv=None) -> int:
@@ -35,6 +57,8 @@ def main(argv=None) -> int:
                         help="comma-separated overrides, e.g. n=12,trials=2000,threshold=0.05")
     parser.add_argument("--exhaustive", action="store_true",
                         help="enumerate the cube instead of sampling (n <= 24)")
+    parser.add_argument("--forger", choices=FORGERS, default="wrong-key",
+                        help="the forged population (default: wrong-key)")
     args = parser.parse_args(argv)
 
     params = parse_param_overrides(args.params)
@@ -48,8 +72,7 @@ def main(argv=None) -> int:
         priv, pub = keygen(params, rng)
         q = sample_sparse(message_params, params.n + 1, rng)
         honest = sign_poly(priv, params, q, rng)
-        wrong = PrivateKey(sample_automorphism(params, random.Random(args.seed + 500_000 + i)))
-        forged = sign_poly(wrong, params, q, random.Random(args.seed + 600_000 + i))
+        forged = forge(args.forger, params, q, args.seed + 500_000 + i)
 
         rep_h = verify_poly(pub, q, honest, params=params,
                             rng=random.Random(args.seed + 700_000 + i),
@@ -67,12 +90,12 @@ def main(argv=None) -> int:
     print(f"{'population':>10} {'accept':>9} {'min':>7} {'p25':>7} {'median':>7}"
           f" {'p75':>7} {'max':>7}")
     for label, accepts, gaps in (("honest", honest_accepts, honest_gaps),
-                                 ("wrong-key", forged_accepts, forged_gaps)):
+                                 (args.forger, forged_accepts, forged_gaps)):
         q = quantiles(gaps)
         print(f"{label:>10} {accepts:>5}/{args.cycles}"
               f" {q[0]:>7.4f} {q[1]:>7.4f} {q[2]:>7.4f} {q[3]:>7.4f} {q[4]:>7.4f}")
     above = sum(1 for g in forged_gaps if g > params.threshold)
-    print(f"wrong-key gaps above threshold: {above}/{args.cycles}")
+    print(f"{args.forger} gaps above threshold: {above}/{args.cycles}")
     return 0
 
 

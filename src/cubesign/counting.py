@@ -8,6 +8,10 @@ lines up the blocks of a narrower cube with those of a wider one, as
 exhaustive verification walks them.  A block's values come from a
 subset-sum (zeta) transform of the polynomial's coefficients: k passes over
 2**k entries, so a block costs O(k * 2**k) whatever the term count.
+``evaluate_stack`` evaluates several polynomials on one block: those whose
+bounds pick one type share a (rows, 2**k) transform of at most
+``CUBE_BLOCK`` entries, so its passes and its transposing copy run once
+per stack; ``evaluate_batch`` on a block is the stack of one.
 
 One rule picks the integer type of every value counted: ``exact_dtype``
 of a bound on their magnitude, the narrowest of int8, int16, int32 and
@@ -153,37 +157,59 @@ def _zeta_passes(values: np.ndarray, lo: int, hi: int) -> None:
         pairs[:, 1, :] += pairs[:, 0, :]
 
 
-def _subcube_values(p: Poly, start: int, k: int) -> np.ndarray:
-    """Values of p at start + j for j < 2**k, start a multiple of 2**k.
+def _subcube_values(polys: list[Poly], bounds: list[int], start: int, k: int) -> list[np.ndarray]:
+    """Values of each polynomial at start + j for j < 2**k, start a multiple of 2**k.
 
-    A term contributes at start + j exactly when its bits above k lie inside
-    start and its low k bits inside j.  The kept terms' coefficients are
-    placed at their low bits, then one pass per bit adds each entry into the
-    entry whose index also has that bit (the zeta transform).
+    bounds are the polynomials' cube bounds sum |c|.  Every entry is a sum
+    of some of a polynomial's coefficients, so its bound bounds it: each
+    array comes back in ``exact_dtype`` of its own polynomial's bound, int8
+    to int64.  Every type is picked first, so a bound past int64 raises
+    ``CapacityError`` before anything is allocated.
 
-    Every entry is a sum of some of p's coefficients, so the cube bound
-    sum |c| bounds it.  The passes run in ``exact_dtype`` of that bound, and
-    the block comes back in it, int8 to int64; a bound past int64 raises
-    ``CapacityError`` before the block is allocated.
+    Polynomials whose bounds pick one type share a transform: a stack of
+    (rows, 2**k) entries, at most ``CUBE_BLOCK`` of them (one row if a
+    block alone is larger), whose passes and transposing copy run on the
+    whole stack.  A term contributes at start + j exactly when its bits
+    above k lie inside start and its low k bits inside j; every term of a
+    polynomial in at most k variables lies in any aligned 2**k block, so
+    only a wider one is filtered.  The kept terms' coefficients are placed
+    at their low bits in their polynomial's row, then one pass per bit adds
+    each entry into the entry whose index also has that bit (the zeta
+    transform).
     A pass over bit i adds rows of 2**i entries, and numpy is slow on short
-    rows.  So with h = k // 2 the block starts transposed, as j's low h bits
+    rows.  So with h = k // 2 each row starts transposed, as j's low h bits
     above its high k - h bits, and the low bits' passes run there as bits
-    k-h..k-1.  One copy transposes the block back for the high bits' passes.
+    k-h..k-1.  One copy transposes every row back for the high bits' passes.
     """
+    types = [exact_dtype(bound) for bound in bounds]
     low = (1 << k) - 1
     top = np.uint64(start | low)
-    work = exact_dtype(value_bound(p))
-    masks = np.fromiter(p.terms, dtype=np.uint64, count=len(p.terms))
-    coeffs = np.fromiter(p.terms.values(), dtype=work, count=len(p.terms))
-    inside = (masks | top) == top
-    j = (masks[inside] & np.uint64(low)).astype(np.intp)
     h = k // 2
-    swapped = np.zeros(1 << k, dtype=work)
-    np.add.at(swapped, ((j & ((1 << h) - 1)) << (k - h)) | (j >> h), coeffs[inside])
-    _zeta_passes(swapped, k - h, k)
-    values = swapped.reshape(1 << h, 1 << (k - h)).T.copy().reshape(-1)
-    _zeta_passes(values, h, k)
-    return values
+    height = max(1, CUBE_BLOCK >> k)
+    groups: defaultdict[type, list[int]] = defaultdict(list)
+    for i, work in enumerate(types):
+        groups[work].append(i)
+    out = [None] * len(polys)
+    for work, members in groups.items():
+        for s in range(0, len(members), height):
+            stack = members[s:s + height]
+            swapped = np.zeros((len(stack), 1 << k), dtype=work)
+            for row, i in zip(swapped, stack):
+                p = polys[i]
+                masks = np.fromiter(p.terms, dtype=np.uint64, count=len(p.terms))
+                coeffs = np.fromiter(p.terms.values(), dtype=work, count=len(p.terms))
+                if p.nvars > k:
+                    inside = (masks | top) == top
+                    masks, coeffs = masks[inside] & np.uint64(low), coeffs[inside]
+                j = masks.astype(np.intp)
+                np.add.at(row, (j & ((1 << h) - 1)) << (k - h) | j >> h, coeffs)
+            _zeta_passes(swapped, k - h, k)
+            values = swapped.reshape(len(stack), 1 << h, 1 << (k - h)).transpose(0, 2, 1).copy()
+            values = values.reshape(len(stack), 1 << k)
+            _zeta_passes(values, h, k)
+            for i, row in zip(stack, values):
+                out[i] = row
+    return out
 
 
 class PointSet:
@@ -313,10 +339,11 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     """Values of p at a point set, or on an aligned subcube.
 
     A range must be an aligned subcube ``range(s, s + 2**k)``, as from
-    ``cube_blocks``; it goes through the zeta transform, and its values come
-    back in ``exact_dtype`` of p's cube bound, int8 to int64.  On either
-    form, p's cube bound sum |c| at or past ``INT64_SAFE_BOUND`` raises
-    ``CapacityError`` before anything is allocated or counted.  A
+    ``cube_blocks``; it goes through the zeta transform as a stack of one
+    (``_subcube_values``), and its values come back in ``exact_dtype`` of
+    p's cube bound, int8 to int64.  On either form, p's cube bound sum |c|
+    at or past ``INT64_SAFE_BOUND`` raises ``CapacityError`` before
+    anything is allocated or counted.  A
     ``PointSet`` narrower than p raises ``DimensionError``; any other input
     raises ``TypeError``.
 
@@ -334,7 +361,7 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     planes, read as int64.
     """
     if isinstance(points, range):
-        return _subcube_values(p, points.start, _subcube_width(points))
+        return _subcube_values([p], [value_bound(p)], points.start, _subcube_width(points))[0]
     if not isinstance(points, PointSet):
         raise TypeError(f"points must be a PointSet or a range, not {type(points).__name__}")
     if p.nvars > len(points.columns):
@@ -353,6 +380,19 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     while len(planes) > 1 and planes[-1] == planes[-2]:
         planes.pop()
     return _signed_values(planes, len(points))
+
+
+def evaluate_stack(polys: list[Poly], points: PointSet | range, bounds: list[int]) -> list[np.ndarray]:
+    """Values of each polynomial at points, each as ``evaluate_batch`` gives it.
+
+    bounds are the polynomials' cube bounds, ``value_bound``.  On an aligned
+    subcube the polynomials share stacked transforms, grouped by type, as
+    ``_subcube_values`` describes; on a ``PointSet`` each one goes through
+    ``evaluate_batch``, whose coefficient groups give its bound.
+    """
+    if isinstance(points, range):
+        return _subcube_values(polys, bounds, points.start, _subcube_width(points))
+    return [evaluate_batch(p, points) for p in polys]
 
 
 def sample_tuple_chunks(nvars: int, n_trials: int, rng: random.Random) -> list[int]:

@@ -38,7 +38,15 @@ from .automorphisms import (
     sample_indicator,
     sample_sparse,
 )
-from .counting import PointSet, cube_walk, evaluate_batch, exact_dtype, sample_points, value_bound
+from .counting import (
+    PointSet,
+    cube_walk,
+    evaluate_batch,
+    evaluate_stack,
+    exact_dtype,
+    sample_points,
+    value_bound,
+)
 from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
 from .poly import Poly, poly_from_block, poly_from_text, poly_to_text, split_blocks
@@ -179,23 +187,35 @@ def _magnitude(values: np.ndarray) -> int:
     return max(1, int(values.max()), -int(values.min()))
 
 
-def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSet | None) -> int:
+def _challenge_positive(
+    challenge: Poly,
+    components: list[Poly],
+    points: PointSet | None,
+    bounds: list[int] | None = None,
+) -> int:
     """Count points where the challenge of the component values is positive.
 
     ``points`` is a sample ``PointSet``, or None for the whole cube of the
     widest component.  The challenge is split on its last variable y as
-    f0 + y * f1, where f0 and f1 combine the other components.  Each block
-    of the walk evaluates them, f0 and f1 once, and y on each of its y
-    blocks, viewed as rows lined up with it.  A point set is one block and
-    its own y block; the cube's walk is ``counting.cube_walk``.
+    f0 + y * f1, where f0 and f1 combine the other components, the rest.
+    Each block of the walk evaluates the rest, f0 and f1 once, and y on each
+    of its y blocks, viewed as rows lined up with it.  A point set is one
+    block and its own y block; the cube's walk is ``counting.cube_walk``.
+    The rest go through ``counting.evaluate_stack`` with ``bounds``, their
+    cube bounds (summed here when not given): on a cube block they share
+    stacked transforms, on a point set each is one ``evaluate_batch``.  y
+    is always one ``evaluate_batch`` call.
 
     The combine type is chosen per block: ``exact_dtype`` of the challenge's
     bound sum |c_m| * prod b_i over its terms m, ``_nested_combine`` of its
     absolute coefficients over the largest magnitudes b_i, at least 1, that
-    the components in its support take on the block.  f0 and f1 run in the
-    type of that bound with |y| taken as 1, which covers both; each y block
-    is cast to the type of the bound with its own magnitude, which is never
-    narrower.  So each component is cast once.  Every final value and every
+    the components in its support take on the block.  The two halves of
+    that nested sum, s0 over the terms without y and s1 over those with it,
+    are computed once per block, so the bound for a y magnitude b is
+    s0 + s1 * b.  f0 and f1 run in the type of s0 + s1, |y| taken as 1,
+    which covers both; each y block is cast to the type of the bound with
+    its own magnitude, which is never narrower.  So each component is cast
+    once.  Every final value and every
     coefficient lies within the bound, and numpy arithmetic wraps, so the
     values are exact.  A bound at or past ``INT64_SAFE_BOUND`` raises
     ``CapacityError``.  Every component is evaluated, so one whose cube bound
@@ -209,19 +229,21 @@ def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSe
     sizes = list(map(abs, coeffs))
     half = len(coeffs) // 2
     *rest, last = components
+    if bounds is None:
+        bounds = list(map(value_bound, rest))
     width = max(p.nvars for p in rest)
     walk = cube_walk(width, max(width, last.nvars)) if points is None else [(points, [points])]
     count = 0
     for block, ys in walk:
-        vals = [evaluate_batch(p, block) for p in rest]
-        bounds = [_magnitude(v) for v in vals]
-        dtype = exact_dtype(_nested_combine(sizes, [*bounds, 1]))
+        vals = evaluate_stack(rest, block, bounds)
+        peaks = [_magnitude(v) for v in vals]
+        s0, s1 = _nested_combine(sizes[:half], peaks), _nested_combine(sizes[half:], peaks)
+        dtype = exact_dtype(s0 + s1)
         vals = [v.astype(dtype, copy=False) for v in vals]
         f0, f1 = _nested_combine(coeffs[:half], vals), _nested_combine(coeffs[half:], vals)
         for y_points in ys:
             y = evaluate_batch(last, y_points).reshape(-1, len(block))
-            y = y.astype(exact_dtype(_nested_combine(sizes, [*bounds, _magnitude(y)])),
-                         copy=False)
+            y = y.astype(exact_dtype(s0 + s1 * _magnitude(y)), copy=False)
             value = f1 * y
             value += f0
             count += int(np.count_nonzero(value > 0))
@@ -262,17 +284,21 @@ def verify_poly(
     for p in (*pub.base, *pub.mapped):
         if p.nvars != params.n:
             raise DimensionError("public key polynomials disagree with the parameter set")
-    for p in (*pub.base, message_poly, *pub.mapped, sig.poly):
-        exact_dtype(value_bound(p))
+    # Every component's cube bound is checked before either side is counted;
+    # the public ones are handed to counting, which does not sum them again.
+    sides = ([*pub.base, message_poly], [*pub.mapped, sig.poly])
+    bounds = [list(map(value_bound, components)) for components in sides]
+    for bound in (*bounds[0], *bounds[1]):
+        exact_dtype(bound)
     challenge = sample_challenge(rng)
     total = 1 << m if exhaustive else params.trials
     # The reference side, then the signed side, each on its own sample points
     # shared by its four components.  Only terms are read, so the n-variable
     # public polynomials need no widening.
     counts = []
-    for components in ([*pub.base, message_poly], [*pub.mapped, sig.poly]):
+    for components, side in zip(sides, bounds):
         points = None if exhaustive else sample_points(m, total, rng)
-        counts.append(_challenge_positive(challenge, components, points))
+        counts.append(_challenge_positive(challenge, components, points, side[:-1]))
     ref, signed = counts
     allowed = math.floor(params.threshold * total)
     return VerifyReport(

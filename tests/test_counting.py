@@ -519,3 +519,63 @@ def test_value_bound_bounds_values_on_the_cube():
     assert value_bound(edge) < INT64_SAFE_BOUND
     assert not value_bound(edge + v(3, 4)) < INT64_SAFE_BOUND
     assert value_bound(Poly(2, {0b11: 5, 0b01: -3})) == 8
+
+
+# Coefficient scales that put up to six terms of |c| <= 4 in int8, int16,
+# int32 and int64 (a zero polynomial stays int8).
+STACK_SCALES = (1, 1 << 8, 1 << 20, 1 << 40)
+
+
+@given(st.lists(st.tuples(st.integers(0, 8).flatmap(poly_strategy), st.sampled_from(STACK_SCALES))
+                .map(lambda pair: pair[1] * pair[0]), min_size=1, max_size=7),
+       st.integers(0, 8), st.integers(0, 10))
+def test_stacked_values_match_each_polynomial_alone(polys, k, block_bits):
+    # polynomials of 0 to 8 variables, below, at and above k, on every
+    # aligned 2**k block of the 2**8 cube, with stacks of at most
+    # 2**block_bits entries: each array equals the polynomial's own
+    # evaluate_batch and its pointwise values, in its own type
+    bounds = [value_bound(p) for p in polys]
+    pointwise = [[p.widen(8).evaluate(x) for x in range(1 << 8)] for p in polys]
+    sizes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "CUBE_BLOCK", 1 << block_bits)
+        passes = counting._zeta_passes
+
+        def recorded_passes(values, lo, hi):
+            sizes.append(values.size)
+            passes(values, lo, hi)
+
+        mp.setattr(counting, "_zeta_passes", recorded_passes)
+        for start in range(0, 1 << 8, 1 << k):
+            block = range(start, start + (1 << k))
+            stacked = counting.evaluate_stack(polys, block, bounds)
+            assert len(stacked) == len(polys)
+            for p, values, expected in zip(polys, stacked, pointwise):
+                assert values.dtype == exact_dtype(value_bound(p))
+                assert np.array_equal(values, evaluate_batch(p, block))
+                assert values.tolist() == expected[block.start:block.stop]
+    assert max(sizes) <= max(1 << block_bits, 1 << k)
+
+
+def test_a_stack_holding_a_wide_component_is_refused_in_bounded_memory():
+    # three int64 polynomials and one whose cube bound passes 2**62 on a
+    # CUBE_BLOCK-point block: any transform would hold 2 MiB, its transposed
+    # copy 2 MiB more, so the stack is refused before one is allocated,
+    # wherever the wide one stands
+    nv = CUBE_BLOCK.bit_length() - 1
+    rng = random.Random(26)
+    narrow = [Poly(nv, {rng.getrandbits(nv): rng.choice((1, -1)) << 40 for _ in range(50)})
+              for _ in range(3)]
+    wide = wide_hostile_poly(nv) + Poly.const(10 ** 3999, nv)
+    assert all(exact_dtype(value_bound(p)) is np.int64 for p in narrow)
+    for position in range(len(narrow) + 1):
+        polys = narrow[:position] + [wide] + narrow[position:]
+        bounds = [value_bound(p) for p in polys]
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="below 2\\*\\*62"):
+                counting.evaluate_stack(polys, range(0, CUBE_BLOCK), bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

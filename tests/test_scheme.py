@@ -14,6 +14,7 @@ from cubesign.counting import (
     INT64_SAFE_BOUND,
     cube_blocks,
     evaluate_batch,
+    evaluate_stack,
     exact_dtype,
     exact_value_counts,
     sample_points,
@@ -629,14 +630,23 @@ def test_an_unread_component_past_int64_is_refused(position):
 
 
 def recorded_calls(monkeypatch):
-    """A list that records every (polynomial, points) passed to scheme.evaluate_batch."""
+    """A list that records every (polynomial, points) scheme evaluates.
+
+    A call to scheme.evaluate_batch is one entry; a call to
+    scheme.evaluate_stack is one entry per polynomial of the stack, in order.
+    """
     calls = []
 
     def recorder(p, points):
         calls.append((p, points))
         return evaluate_batch(p, points)
 
+    def stack_recorder(polys, points, bounds):
+        calls.extend((p, points) for p in polys)
+        return evaluate_stack(polys, points, bounds)
+
     monkeypatch.setattr(scheme, "evaluate_batch", recorder)
+    monkeypatch.setattr(scheme, "evaluate_stack", stack_recorder)
     return calls
 
 

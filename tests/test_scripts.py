@@ -82,6 +82,38 @@ def test_wrong_key_gap_exhaustive_output_is_pinned(capsys):
     )
 
 
+# The forged row and the last line of two cycles at n = 8, per keyless
+# population and mode.
+FORGER_ROWS = {
+    ("identity", False): ("  identity     2/2  0.0050  0.0050  0.0150  0.0250  0.0250",
+                          "identity gaps above threshold: 0/2"),
+    ("identity", True): ("  identity     0/2  0.0371  0.0371  0.0391  0.0410  0.0410",
+                         "identity gaps above threshold: 2/2"),
+    ("permuted", False): ("  permuted     1/2  0.0250  0.0250  0.0400  0.0550  0.0550",
+                          "permuted gaps above threshold: 1/2"),
+    ("permuted", True): ("  permuted     1/2  0.0234  0.0234  0.0469  0.0703  0.0703",
+                         "permuted gaps above threshold: 1/2"),
+    ("constant", False): ("  constant     0/2  0.0500  0.0500  0.1400  0.2300  0.2300",
+                          "constant gaps above threshold: 2/2"),
+    ("constant", True): ("  constant     1/2  0.0156  0.0156  0.1377  0.2598  0.2598",
+                         "constant gaps above threshold: 1/2"),
+}
+
+
+@pytest.mark.parametrize("forger, exhaustive", list(FORGER_ROWS),
+                         ids=[f"{f}-{'exhaustive' if e else 'sampled'}" for f, e in FORGER_ROWS])
+def test_wrong_key_gap_keyless_forger_populations(forger, exhaustive, capsys):
+    # the honest rows are the default run's: only the forged population changes
+    argv = ["--cycles", "2", "--params", "n=8,trials=200"] + ["--exhaustive"] * exhaustive
+    script = load("wrong_key_gap")
+    assert script.main(argv) == 0
+    default = capsys.readouterr().out.splitlines()
+    assert script.main([*argv, "--forger", forger]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == default[:3]
+    assert tuple(lines[3:]) == FORGER_ROWS[forger, exhaustive]
+
+
 def test_bench_record_medians_and_merge(tmp_path):
     bench = load("bench_record")
     results = [{"metrics": {"a_s": {"value": v, "unit": "s/op"}, "n": {"value": 7.0, "unit": "calls/op"}}}
