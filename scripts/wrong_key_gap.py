@@ -13,7 +13,7 @@ detect.
     identity   the message polynomial itself, unsigned
     permuted   the message polynomial with its n + 1 variables permuted at random
     constant   the constant polynomial 1
-Only wrong-key uses a key; the other three need nothing the public key holds.
+Only wrong-key uses a key; the other three are built from the message alone.
 
 Example:
     python3 scripts/wrong_key_gap.py --cycles 60 --params n=12 --exhaustive --forger identity

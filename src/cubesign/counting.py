@@ -343,9 +343,8 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     (``_subcube_values``), and its values come back in ``exact_dtype`` of
     p's cube bound, int8 to int64.  On either form, p's cube bound sum |c|
     at or past ``INT64_SAFE_BOUND`` raises ``CapacityError`` before
-    anything is allocated or counted.  A
-    ``PointSet`` narrower than p raises ``DimensionError``; any other input
-    raises ``TypeError``.
+    anything is allocated or counted.  A ``PointSet`` narrower than p raises
+    ``DimensionError``; any other input raises ``TypeError``.
 
     Points are bit-sliced (Biham, FSE 1997): one Python int per variable,
     whose bit j is that variable at point j.  A term covers the AND of its
@@ -382,7 +381,9 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     return _signed_values(planes, len(points))
 
 
-def evaluate_stack(polys: list[Poly], points: PointSet | range, bounds: list[int]) -> list[np.ndarray]:
+def evaluate_stack(
+    polys: list[Poly], points: PointSet | range, bounds: list[int]
+) -> list[np.ndarray]:
     """Values of each polynomial at points, each as ``evaluate_batch`` gives it.
 
     bounds are the polynomials' cube bounds, ``value_bound``.  On an aligned

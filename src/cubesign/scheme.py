@@ -215,11 +215,11 @@ def _challenge_positive(
     s0 + s1 * b.  f0 and f1 run in the type of s0 + s1, |y| taken as 1,
     which covers both; each y block is cast to the type of the bound with
     its own magnitude, which is never narrower.  So each component is cast
-    once.  Every final value and every
-    coefficient lies within the bound, and numpy arithmetic wraps, so the
-    values are exact.  A bound at or past ``INT64_SAFE_BOUND`` raises
-    ``CapacityError``.  Every component is evaluated, so one whose cube bound
-    reaches it is refused whichever challenge is drawn.  The cast of a component outside
+    once.  Every final value and every coefficient lies within the bound,
+    and numpy arithmetic wraps, so the values are exact.  A bound at or
+    past ``INT64_SAFE_BOUND`` raises ``CapacityError``.  Every component is
+    evaluated, so one whose cube bound reaches it is refused whichever
+    challenge is drawn.  The cast of a component outside
     the challenge's support may wrap, which is safe: the coefficients on it
     are zero halves, which ``_nested_combine`` skips, so it is never multiplied.
     """
