@@ -8,19 +8,19 @@ lines up the blocks of a narrower cube with those of a wider one, as
 exhaustive verification walks them.  A block's values come from a
 subset-sum (zeta) transform of the polynomial's coefficients: k passes over
 2**k entries, so a block costs O(k * 2**k) whatever the term count.
-``evaluate_stack`` evaluates several polynomials on one block: those whose
-bounds pick one type share a (rows, 2**k) transform of at most
-``CUBE_BLOCK`` entries, so its passes and its transposing copy run once
-per stack; ``evaluate_batch`` on a block is the stack of one.
+``evaluate_stack`` evaluates several polynomials on one block, stacked in
+their order into (rows, 2**k) transforms of at most ``CUBE_BLOCK`` entries,
+so the passes and the transposing copy run once per stack;
+``evaluate_batch`` on a block is the stack of one.
 
 One rule picks the integer type of every value counted: ``exact_dtype``
 of a bound on their magnitude, the narrowest of int8, int16, int32 and
 int64 that holds it; a bound at or past ``INT64_SAFE_BOUND`` = 2**62
 raises ``CapacityError``, as a cube past ``EXACT_NVARS_LIMIT`` variables
 does.  The zeta passes run in, and a block comes back in, the type of the
-polynomial's cube bound sum |c|, ``value_bound``; the verifier combines a
-block's component values in the type of the challenge's own bound over
-the magnitudes they take there.
+largest cube bound sum |c|, ``value_bound``, among its stack's rows; the
+verifier combines a block's component values in the type of the
+challenge's own bound over the magnitudes they take there.
 
 Sample points are drawn as bit-sliced columns, one ``getrandbits`` per
 variable from the caller's generator, so a seed fixes the run.
@@ -142,14 +142,6 @@ def value_bound(p: Poly) -> int:
     return sum(map(abs, p.terms.values()))
 
 
-def _subcube_width(points: range) -> int:
-    """k when points is range(s, s + 2**k) with s a multiple of 2**k."""
-    size = len(points)
-    if points.step != 1 or not size or size & (size - 1) or points.start % size:
-        raise ValueError(f"{points!r} is not an aligned subcube")
-    return size.bit_length() - 1
-
-
 def _zeta_passes(values: np.ndarray, lo: int, hi: int) -> None:
     """Add, for each bit i in lo..hi-1, every entry into the one with bit i set."""
     for i in range(lo, hi):
@@ -157,58 +149,57 @@ def _zeta_passes(values: np.ndarray, lo: int, hi: int) -> None:
         pairs[:, 1, :] += pairs[:, 0, :]
 
 
-def _subcube_values(polys: list[Poly], bounds: list[int], start: int, k: int) -> list[np.ndarray]:
-    """Values of each polynomial at start + j for j < 2**k, start a multiple of 2**k.
+def _subcube_values(polys: list[Poly], bounds: list[int], block: range) -> list[np.ndarray]:
+    """Values of each polynomial on block, an aligned subcube range(s, s + 2**k).
 
-    bounds are the polynomials' cube bounds sum |c|.  Every entry is a sum
-    of some of a polynomial's coefficients, so its bound bounds it: each
-    array comes back in ``exact_dtype`` of its own polynomial's bound, int8
-    to int64.  Every type is picked first, so a bound past int64 raises
-    ``CapacityError`` before anything is allocated.
+    bounds are the polynomials' cube bounds sum |c|; ``exact_dtype`` of the
+    largest refuses one at or past ``INT64_SAFE_BOUND`` before anything is
+    allocated.  A range that is not an aligned subcube raises ``ValueError``.
 
-    Polynomials whose bounds pick one type share a transform: a stack of
-    (rows, 2**k) entries, at most ``CUBE_BLOCK`` of them (one row if a
-    block alone is larger), whose passes and transposing copy run on the
-    whole stack.  A term contributes at start + j exactly when its bits
-    above k lie inside start and its low k bits inside j; every term of a
-    polynomial in at most k variables lies in any aligned 2**k block, so
-    only a wider one is filtered.  The kept terms' coefficients are placed
-    at their low bits in their polynomial's row, then one pass per bit adds
-    each entry into the entry whose index also has that bit (the zeta
-    transform).
+    The polynomials are stacked in their order, ``CUBE_BLOCK >> k`` rows to
+    a stack (one row if a block alone is larger), and each stack is one
+    (rows, 2**k) transform whose passes and transposing copy run on the
+    whole stack.  Every entry is a sum of some of a row's coefficients, so
+    a stack runs in, and its rows come back in, ``exact_dtype`` of the
+    largest bound among its rows; a stack of one is in its own type.  A
+    term contributes at s + j exactly when its bits above k lie inside s
+    and its low k bits inside j; every term of a polynomial in at most k
+    variables lies in any aligned 2**k block, so only a wider one is
+    filtered.  The kept terms' coefficients are placed at their low bits in
+    their row, then one pass per bit adds each entry into the entry whose
+    index also has that bit (the zeta transform).
     A pass over bit i adds rows of 2**i entries, and numpy is slow on short
     rows.  So with h = k // 2 each row starts transposed, as j's low h bits
     above its high k - h bits, and the low bits' passes run there as bits
     k-h..k-1.  One copy transposes every row back for the high bits' passes.
     """
-    types = [exact_dtype(bound) for bound in bounds]
-    low = (1 << k) - 1
-    top = np.uint64(start | low)
+    size = len(block)
+    if block.step != 1 or not size or size & (size - 1) or block.start % size:
+        raise ValueError(f"{block!r} is not an aligned subcube")
+    exact_dtype(max(bounds, default=0))
+    k = size.bit_length() - 1
+    low = size - 1
+    top = np.uint64(block.start | low)
     h = k // 2
     height = max(1, CUBE_BLOCK >> k)
-    groups: defaultdict[type, list[int]] = defaultdict(list)
-    for i, work in enumerate(types):
-        groups[work].append(i)
-    out = [None] * len(polys)
-    for work, members in groups.items():
-        for s in range(0, len(members), height):
-            stack = members[s:s + height]
-            swapped = np.zeros((len(stack), 1 << k), dtype=work)
-            for row, i in zip(swapped, stack):
-                p = polys[i]
-                masks = np.fromiter(p.terms, dtype=np.uint64, count=len(p.terms))
-                coeffs = np.fromiter(p.terms.values(), dtype=work, count=len(p.terms))
-                if p.nvars > k:
-                    inside = (masks | top) == top
-                    masks, coeffs = masks[inside] & np.uint64(low), coeffs[inside]
-                j = masks.astype(np.intp)
-                np.add.at(row, (j & ((1 << h) - 1)) << (k - h) | j >> h, coeffs)
-            _zeta_passes(swapped, k - h, k)
-            values = swapped.reshape(len(stack), 1 << h, 1 << (k - h)).transpose(0, 2, 1).copy()
-            values = values.reshape(len(stack), 1 << k)
-            _zeta_passes(values, h, k)
-            for i, row in zip(stack, values):
-                out[i] = row
+    out = []
+    for s in range(0, len(polys), height):
+        stack = polys[s:s + height]
+        work = exact_dtype(max(bounds[s:s + height]))
+        swapped = np.zeros((len(stack), size), dtype=work)
+        for row, p in zip(swapped, stack):
+            masks = np.fromiter(p.terms, dtype=np.uint64, count=len(p.terms))
+            coeffs = np.fromiter(p.terms.values(), dtype=work, count=len(p.terms))
+            if p.nvars > k:
+                inside = (masks | top) == top
+                masks, coeffs = masks[inside] & np.uint64(low), coeffs[inside]
+            j = masks.astype(np.intp)
+            np.add.at(row, (j & ((1 << h) - 1)) << (k - h) | j >> h, coeffs)
+        _zeta_passes(swapped, k - h, k)
+        values = swapped.reshape(len(stack), 1 << h, 1 << (k - h)).transpose(0, 2, 1).copy()
+        values = values.reshape(len(stack), size)
+        _zeta_passes(values, h, k)
+        out.extend(values)
     return out
 
 
@@ -360,7 +351,7 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     planes, read as int64.
     """
     if isinstance(points, range):
-        return _subcube_values([p], [value_bound(p)], points.start, _subcube_width(points))[0]
+        return _subcube_values([p], [value_bound(p)], points)[0]
     if not isinstance(points, PointSet):
         raise TypeError(f"points must be a PointSet or a range, not {type(points).__name__}")
     if p.nvars > len(points.columns):
@@ -387,12 +378,13 @@ def evaluate_stack(
     """Values of each polynomial at points, each as ``evaluate_batch`` gives it.
 
     bounds are the polynomials' cube bounds, ``value_bound``.  On an aligned
-    subcube the polynomials share stacked transforms, grouped by type, as
-    ``_subcube_values`` describes; on a ``PointSet`` each one goes through
-    ``evaluate_batch``, whose coefficient groups give its bound.
+    subcube the polynomials share stacked transforms, and each comes back
+    in its stack's type, never narrower than its own, as ``_subcube_values``
+    describes; on a ``PointSet`` each one goes through ``evaluate_batch``,
+    whose coefficient groups give its bound.
     """
     if isinstance(points, range):
-        return _subcube_values(polys, bounds, points.start, _subcube_width(points))
+        return _subcube_values(polys, bounds, points)
     return [evaluate_batch(p, points) for p in polys]
 
 

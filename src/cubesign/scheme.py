@@ -203,8 +203,9 @@ def _challenge_positive(
     block and its own y block; the cube's walk is ``counting.cube_walk``.
     The rest go through ``counting.evaluate_stack`` with ``bounds``, their
     cube bounds (summed here when not given): on a cube block they share
-    stacked transforms, on a point set each is one ``evaluate_batch``.  y
-    is always one ``evaluate_batch`` call.
+    stacked transforms and come back in their stack's type, on a point set
+    each is one ``evaluate_batch``; the cast below sets the combine type
+    either way.  y is always one ``evaluate_batch`` call.
 
     The combine type is chosen per block: ``exact_dtype`` of the challenge's
     bound sum |c_m| * prod b_i over its terms m, ``_nested_combine`` of its
