@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -738,6 +739,50 @@ def test_exhaustive_verify_refuses_wide_hostile_coefficients_in_bounded_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def _random_terms(nvars, count):
+    rng = random.Random(27)
+    return {rng.getrandbits(nvars): rng.choice((1, -1)) for _ in range(count)}
+
+
+FULL_MASK = (1 << 32) - 1
+# Hostile signature texts in 32 variables: each one's builder, the error
+# verifying it against the seed-0 production key raises (None: it returns a
+# report), and the tracemalloc budget of parsing and verifying it, in MiB:
+# about twice the measured peak, and at least 0.5 MiB.
+HOSTILE_SIGNATURES = {
+    "dense-terms": (lambda: signature_to_text(Signature(Poly(32, _random_terms(32, 5000)))),
+                    None, 2),
+    "degree-32": (lambda: signature_to_text(Signature(
+        Poly(32, {FULL_MASK: 3} | {FULL_MASK ^ 1 << i: 1 for i in range(32)}))), None, 1.5),
+    "wide-coefficients": (lambda: signature_to_text(Signature(wide_hostile_poly(32))),
+                          CapacityError, 0.5),
+    "huge-header": (lambda: "nvars=" + "9" * 100_000 + "\n1:1\n", FormatError, 1),
+    "malformed-header": (lambda: "nvars=+32\n1:1\n", FormatError, 0.5),
+    "extra-blocks": (lambda: "\n".join([signature_to_text(Signature(Poly.variable(1, 32)))] * 10_000),
+                     FormatError, 4),
+}
+
+
+@pytest.fixture(scope="module")
+def production_public_key():
+    return keygen(SchemeParams(), random.Random(0))[1]
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_SIGNATURES))
+def test_hostile_signature_text_stays_within_its_memory_budget(case, production_public_key):
+    # the text is built untraced; parsing and verifying it are traced
+    build, error, budget_mib = HOSTILE_SIGNATURES[case]
+    text = build()
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) if error else nullcontext():
+            verify(production_public_key, b"msg", signature_from_text(text), rng=random.Random(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget_mib * 2**20
 
 
 @pytest.mark.parametrize("exhaustive", [False, True], ids=["sampled", "exhaustive"])

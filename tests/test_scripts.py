@@ -114,6 +114,33 @@ def test_wrong_key_gap_keyless_forger_populations(forger, exhaustive, capsys):
     assert tuple(lines[3:]) == FORGER_ROWS[forger, exhaustive]
 
 
+# The lines --grind 3 --recheck 4 adds to two permuted cycles at n = 8.
+GRIND_LINES = {
+    False: ("first-pass accepts: 3/6",
+            "best re-accepts per cycle: min 3 p25 3 median 3.5 p75 4 max 4"),
+    True: ("first-pass accepts: 4/6",
+           "best re-accepts per cycle: min 3 p25 3 median 3 p75 3 max 3"),
+}
+
+
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["sampled", "exhaustive"])
+def test_wrong_key_gap_grind_appends_its_lines(exhaustive, capsys):
+    # grinding only adds lines: the report before them is the plain run's
+    argv = ["--cycles", "2", "--params", "n=8,trials=200", "--forger", "permuted"]
+    argv += ["--exhaustive"] * exhaustive
+    script = load("wrong_key_gap")
+    assert script.main(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert script.main([*argv, "--grind", "3", "--recheck", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:5] == plain
+    assert lines[5:] == [
+        "grind: 3 permuted candidates per cycle, 4 rechecks of each accepted one",
+        *GRIND_LINES[exhaustive],
+        "cycles re-accepting a candidate >= 4/2 times: 2/2",
+    ]
+
+
 def test_bench_record_medians_and_merge(tmp_path):
     bench = load("bench_record")
     results = [{"metrics": {"a_s": {"value": v, "unit": "s/op"}, "n": {"value": 7.0, "unit": "calls/op"}}}
