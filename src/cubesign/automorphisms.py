@@ -245,9 +245,9 @@ def automorphism_from_blocks(blocks: list[list[str]]) -> Automorphism:
     if not blocks or len(blocks[0]) != 1:
         raise FormatError("automorphism text must start with a lone nvars= header")
     nvars = read_nvars(blocks[0][0])
+    if len(blocks) - 1 != nvars:
+        raise FormatError(f"expected {nvars} image blocks, found {len(blocks) - 1}")
     images = [poly_from_block(b) for b in blocks[1:]]
-    if len(images) != nvars:
-        raise FormatError(f"expected {nvars} image blocks, found {len(images)}")
     try:
         return Automorphism(nvars, tuple(images))
     except DimensionError as exc:

@@ -20,7 +20,8 @@ raises ``CapacityError``, as a cube past ``EXACT_NVARS_LIMIT`` variables
 does.  The zeta passes run in, and a block comes back in, the type of the
 largest cube bound sum |c|, ``value_bound``, among its stack's rows; the
 verifier combines a block's component values in the type of the
-challenge's own bound over the magnitudes they take there.
+challenge's own bound over the magnitudes they take there.  Each bound is
+read from ``poly.value_bound``, which sums it once per polynomial.
 
 Sample points are drawn as bit-sliced columns, one ``getrandbits`` per
 variable from the caller's generator, so a seed fixes the run.
@@ -42,7 +43,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import CapacityError, DimensionError
-from .poly import INT64_SAFE_BOUND, Poly
+from .poly import INT64_SAFE_BOUND, Poly, value_bound
 
 EXACT_NVARS_LIMIT = 25
 # Points per enumeration block: 2**18 values are 256 KiB in int8, 2 MiB in int64.
@@ -137,11 +138,6 @@ def exact_dtype(bound: int) -> type:
     )
 
 
-def value_bound(p: Poly) -> int:
-    """A bound on |p| over the cube: sum |c|."""
-    return sum(map(abs, p.terms.values()))
-
-
 def _zeta_passes(values: np.ndarray, lo: int, hi: int) -> None:
     """Add, for each bit i in lo..hi-1, every entry into the one with bit i set."""
     for i in range(lo, hi):
@@ -149,12 +145,12 @@ def _zeta_passes(values: np.ndarray, lo: int, hi: int) -> None:
         pairs[:, 1, :] += pairs[:, 0, :]
 
 
-def _subcube_values(polys: list[Poly], bounds: list[int], block: range) -> list[np.ndarray]:
+def _subcube_values(polys: list[Poly], block: range) -> list[np.ndarray]:
     """Values of each polynomial on block, an aligned subcube range(s, s + 2**k).
 
-    bounds are the polynomials' cube bounds sum |c|; ``exact_dtype`` of the
-    largest refuses one at or past ``INT64_SAFE_BOUND`` before anything is
-    allocated.  A range that is not an aligned subcube raises ``ValueError``.
+    ``exact_dtype`` of the largest cube bound, ``value_bound``, refuses one
+    at or past ``INT64_SAFE_BOUND`` before anything is allocated.  A range
+    that is not an aligned subcube raises ``ValueError``.
 
     The polynomials are stacked in their order, ``CUBE_BLOCK >> k`` rows to
     a stack (one row if a block alone is larger), and each stack is one
@@ -176,7 +172,7 @@ def _subcube_values(polys: list[Poly], bounds: list[int], block: range) -> list[
     size = len(block)
     if block.step != 1 or not size or size & (size - 1) or block.start % size:
         raise ValueError(f"{block!r} is not an aligned subcube")
-    exact_dtype(max(bounds, default=0))
+    exact_dtype(max(map(value_bound, polys), default=0))
     k = size.bit_length() - 1
     low = size - 1
     top = np.uint64(block.start | low)
@@ -185,7 +181,7 @@ def _subcube_values(polys: list[Poly], bounds: list[int], block: range) -> list[
     out = []
     for s in range(0, len(polys), height):
         stack = polys[s:s + height]
-        work = exact_dtype(max(bounds[s:s + height]))
+        work = exact_dtype(max(map(value_bound, stack)))
         swapped = np.zeros((len(stack), size), dtype=work)
         for row, p in zip(swapped, stack):
             masks = np.fromiter(p.terms, dtype=np.uint64, count=len(p.terms))
@@ -293,17 +289,17 @@ def _signed_values(planes: list[int], npoints: int) -> np.ndarray:
     return np.array(weights, dtype=np.int64) @ bits.astype(np.int64)
 
 
-def _sign_counters(terms: dict[int, int], points: PointSet) -> tuple[list[int], list[int]]:
-    """Bit-plane counters of the positive and the negative part of the values at points.
+def _sign_counters(p: Poly, points: PointSet) -> tuple[list[int], list[int]]:
+    """Bit-plane counters of the positive and the negative part of p's values at points.
 
-    Terms are grouped and counted by coefficient, as ``evaluate_batch``
-    describes; ``exact_dtype`` of the cube bound sum |c| refuses one at or
-    past ``INT64_SAFE_BOUND`` first.
+    ``exact_dtype`` of p's cube bound, ``value_bound``, refuses one at or
+    past ``INT64_SAFE_BOUND`` first; then terms are grouped and counted by
+    coefficient, as ``evaluate_batch`` describes.
     """
+    exact_dtype(value_bound(p))
     groups: defaultdict[int, list[int]] = defaultdict(list)
-    for mask, c in terms.items():
+    for mask, c in p.terms.items():
         groups[c].append(mask)
-    exact_dtype(sum(abs(c) * len(masks) for c, masks in groups.items()))
     t0, t1, t2, t3, *high = points.byte_tables()
     positive: list[int] = []
     negative: list[int] = []
@@ -351,7 +347,7 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     planes, read as int64.
     """
     if isinstance(points, range):
-        return _subcube_values([p], [value_bound(p)], points)[0]
+        return _subcube_values([p], points)[0]
     if not isinstance(points, PointSet):
         raise TypeError(f"points must be a PointSet or a range, not {type(points).__name__}")
     if p.nvars > len(points.columns):
@@ -359,7 +355,7 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
             f"a point set of width {len(points.columns)} cannot evaluate"
             f" a polynomial in {p.nvars} variables"
         )
-    positive, negative = _sign_counters(p.terms, points)
+    positive, negative = _sign_counters(p, points)
     # positive - negative; the final borrow is the sign plane.
     planes = []
     borrow = 0
@@ -372,19 +368,16 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     return _signed_values(planes, len(points))
 
 
-def evaluate_stack(
-    polys: list[Poly], points: PointSet | range, bounds: list[int]
-) -> list[np.ndarray]:
+def evaluate_stack(polys: list[Poly], points: PointSet | range) -> list[np.ndarray]:
     """Values of each polynomial at points, each as ``evaluate_batch`` gives it.
 
-    bounds are the polynomials' cube bounds, ``value_bound``.  On an aligned
-    subcube the polynomials share stacked transforms, and each comes back
-    in its stack's type, never narrower than its own, as ``_subcube_values``
-    describes; on a ``PointSet`` each one goes through ``evaluate_batch``,
-    whose coefficient groups give its bound.
+    On an aligned subcube the polynomials share stacked transforms, and each
+    comes back in its stack's type, never narrower than its own, as
+    ``_subcube_values`` describes; on a ``PointSet`` each one goes through
+    ``evaluate_batch``.  Either way each cube bound is ``value_bound``'s.
     """
     if isinstance(points, range):
-        return _subcube_values(polys, bounds, points)
+        return _subcube_values(polys, points)
     return [evaluate_batch(p, points) for p in polys]
 
 

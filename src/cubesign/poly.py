@@ -54,9 +54,12 @@ def indices_of(mask: int) -> tuple[int, ...]:
 
 
 class Poly:
-    """Immutable-by-convention sparse polynomial; do not mutate ``terms``."""
+    """Immutable-by-convention sparse polynomial; do not mutate ``terms``.
 
-    __slots__ = ("nvars", "terms")
+    Its cube bound, ``value_bound``, is summed on first use and stored with it.
+    """
+
+    __slots__ = ("nvars", "terms", "_bound")
 
     def __init__(self, nvars: int, terms: Mapping[int, int]):
         _check_nvars(nvars)
@@ -75,6 +78,7 @@ class Poly:
                 acc[mask] = coeff
         self.terms = acc
         self.nvars = nvars
+        self._bound: int | None = None
 
     # --- constructors ---
 
@@ -88,6 +92,7 @@ class Poly:
         p = object.__new__(cls)
         p.nvars = nvars
         p.terms = terms
+        p._bound = None
         return p
 
     @classmethod
@@ -265,6 +270,13 @@ class Poly:
         if nvars < self.nvars:
             raise DimensionError(f"cannot widen from {self.nvars} to {nvars} variables")
         return Poly._unchecked(nvars, dict(self.terms))
+
+
+def value_bound(p: Poly) -> int:
+    """A bound on |p| over the cube: sum |c|, summed once per polynomial."""
+    if p._bound is None:
+        p._bound = sum(map(abs, p.terms.values()))
+    return p._bound
 
 
 def _check_nvars(nvars: int) -> None:

@@ -45,11 +45,10 @@ from .counting import (
     evaluate_stack,
     exact_dtype,
     sample_points,
-    value_bound,
 )
 from .errors import DimensionError, FormatError
 from .params import SchemeParams, params_from_line, params_to_line
-from .poly import Poly, poly_from_block, poly_from_text, poly_to_text, split_blocks
+from .poly import Poly, poly_from_block, poly_from_text, poly_to_text, split_blocks, value_bound
 
 PUBLIC_POLY_COUNT = 3
 # One challenge variable per public polynomial, plus the message polynomial or signature.
@@ -187,12 +186,7 @@ def _magnitude(values: np.ndarray) -> int:
     return max(1, int(values.max()), -int(values.min()))
 
 
-def _challenge_positive(
-    challenge: Poly,
-    components: list[Poly],
-    points: PointSet | None,
-    bounds: list[int] | None = None,
-) -> int:
+def _challenge_positive(challenge: Poly, components: list[Poly], points: PointSet | None) -> int:
     """Count points where the challenge of the component values is positive.
 
     ``points`` is a sample ``PointSet``, or None for the whole cube of the
@@ -201,11 +195,11 @@ def _challenge_positive(
     Each block of the walk evaluates the rest, f0 and f1 once, and y on each
     of its y blocks, viewed as rows lined up with it.  A point set is one
     block and its own y block; the cube's walk is ``counting.cube_walk``.
-    The rest go through ``counting.evaluate_stack`` with ``bounds``, their
-    cube bounds (summed here when not given): on a cube block they share
-    stacked transforms and come back in their stack's type, on a point set
-    each is one ``evaluate_batch``; the cast below sets the combine type
-    either way.  y is always one ``evaluate_batch`` call.
+    The rest go through ``counting.evaluate_stack``: on a cube block they
+    share stacked transforms and come back in their stack's type, on a point
+    set each is one ``evaluate_batch``; the cast below sets the combine type
+    either way.  y is always one ``evaluate_batch`` call.  Each component's
+    cube bound is its stored ``value_bound``, so none is summed again here.
 
     The combine type is chosen per block: ``exact_dtype`` of the challenge's
     bound sum |c_m| * prod b_i over its terms m, ``_nested_combine`` of its
@@ -230,13 +224,11 @@ def _challenge_positive(
     sizes = list(map(abs, coeffs))
     half = len(coeffs) // 2
     *rest, last = components
-    if bounds is None:
-        bounds = list(map(value_bound, rest))
     width = max(p.nvars for p in rest)
     walk = cube_walk(width, max(width, last.nvars)) if points is None else [(points, [points])]
     count = 0
     for block, ys in walk:
-        vals = evaluate_stack(rest, block, bounds)
+        vals = evaluate_stack(rest, block)
         peaks = [_magnitude(v) for v in vals]
         s0, s1 = _nested_combine(sizes[:half], peaks), _nested_combine(sizes[half:], peaks)
         dtype = exact_dtype(s0 + s1)
@@ -286,20 +278,19 @@ def verify_poly(
         if p.nvars != params.n:
             raise DimensionError("public key polynomials disagree with the parameter set")
     # Every component's cube bound is checked before either side is counted;
-    # the public ones are handed to counting, which does not sum them again.
+    # value_bound stores it with the polynomial, and counting reads it there.
     sides = ([*pub.base, message_poly], [*pub.mapped, sig.poly])
-    bounds = [list(map(value_bound, components)) for components in sides]
-    for bound in (*bounds[0], *bounds[1]):
-        exact_dtype(bound)
+    for p in (*sides[0], *sides[1]):
+        exact_dtype(value_bound(p))
     challenge = sample_challenge(rng)
     total = 1 << m if exhaustive else params.trials
     # The reference side, then the signed side, each on its own sample points
     # shared by its four components.  Only terms are read, so the n-variable
     # public polynomials need no widening.
     counts = []
-    for components, side in zip(sides, bounds):
+    for components in sides:
         points = None if exhaustive else sample_points(m, total, rng)
-        counts.append(_challenge_positive(challenge, components, points, side[:-1]))
+        counts.append(_challenge_positive(challenge, components, points))
     ref, signed = counts
     allowed = math.floor(params.threshold * total)
     return VerifyReport(

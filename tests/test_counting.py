@@ -521,6 +521,28 @@ def test_value_bound_bounds_values_on_the_cube():
     assert value_bound(Poly(2, {0b11: 5, 0b01: -3})) == 8
 
 
+class ValuesCounter(dict):
+    """A term map that counts the calls of its values()."""
+
+    calls = 0
+
+    def values(self):
+        self.calls += 1
+        return super().values()
+
+
+def test_counting_reads_a_stored_cube_bound_and_does_not_sum_it_again():
+    # two equal polynomials whose term maps count their values() calls: the
+    # one whose bound was taken first makes no more calls in all than the
+    # other, on a cube block and on a point set
+    terms = {0b0011: 3, 0b0101: -2, 0b1000: 1}
+    for points in (range(0, 16), point_set(list(range(16)), 4)):
+        given, fresh = (Poly._unchecked(4, ValuesCounter(terms)) for _ in range(2))
+        assert value_bound(given) == 6
+        assert np.array_equal(evaluate_batch(given, points), evaluate_batch(fresh, points))
+        assert given.terms.calls == fresh.terms.calls
+
+
 # Coefficient scales that put up to six terms of |c| <= 4 in int8, int16,
 # int32 and int64 (a zero polynomial stays int8).
 STACK_SCALES = (1, 1 << 8, 1 << 20, 1 << 40)
@@ -550,7 +572,7 @@ def test_stacked_values_match_each_polynomial_alone(polys, k, block_bits):
         mp.setattr(counting, "_zeta_passes", recorded_passes)
         for start in range(0, 1 << 8, 1 << k):
             block = range(start, start + (1 << k))
-            stacked = counting.evaluate_stack(polys, block, bounds)
+            stacked = counting.evaluate_stack(polys, block)
             assert len(stacked) == len(polys)
             for i, (p, values, expected) in enumerate(zip(polys, stacked, pointwise)):
                 assert values.dtype == exact_dtype(max(bounds[i - i % height:][:height]))
@@ -572,11 +594,10 @@ def test_a_stack_holding_a_wide_component_is_refused_in_bounded_memory():
     assert all(exact_dtype(value_bound(p)) is np.int64 for p in narrow)
     for position in range(len(narrow) + 1):
         polys = narrow[:position] + [wide] + narrow[position:]
-        bounds = [value_bound(p) for p in polys]
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="below 2\\*\\*62"):
-                counting.evaluate_stack(polys, range(0, CUBE_BLOCK), bounds)
+                counting.evaluate_stack(polys, range(0, CUBE_BLOCK))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

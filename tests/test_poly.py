@@ -17,9 +17,11 @@ from cubesign.poly import (
     _mul_terms,
     indices_of,
     mask_of,
+    poly_from_block,
     poly_from_text,
     poly_to_text,
     split_blocks,
+    value_bound,
 )
 
 from conftest import poly_strategy
@@ -308,6 +310,27 @@ def test_substitute_non_injective_monomial_images_cancel():
     assert got.terms == {0: 5, 0b10: 3}
     assert got == expand_substitution(p, images)
     assert not (x1 - x2).substitute(images).terms
+
+
+WIDE_COEFFS = poly_strategy(4, max_coeff=1 << 70)
+
+
+@given(WIDE_COEFFS, WIDE_COEFFS, st.permutations(range(1, 5)),
+       st.lists(poly_strategy(4, max_terms=3), min_size=4, max_size=4))
+def test_value_bound_is_the_coefficient_sum_stored_once(p, q, order, images):
+    # each constructor leaves a bound equal to sum |c|, and a second call
+    # returns the stored int; images[0] doubled never has coefficient 1, so
+    # the second substitute takes the memo path, the first the relabel path
+    images[0] = 2 * images[0]
+    built = [
+        Poly(4, p.terms), p + q, p - q, p * q,
+        p.substitute([v(i) for i in order]), p.substitute(images),
+        p.widen(6), poly_from_block(split_blocks(poly_to_text(p))[0]),
+    ]
+    for r in built:
+        bound = value_bound(r)
+        assert bound == sum(map(abs, r.terms.values()))
+        assert value_bound(r) is bound
 
 
 def test_degree_and_support():

@@ -642,9 +642,9 @@ def recorded_calls(monkeypatch):
         calls.append((p, points))
         return evaluate_batch(p, points)
 
-    def stack_recorder(polys, points, bounds):
+    def stack_recorder(polys, points):
         calls.extend((p, points) for p in polys)
-        return evaluate_stack(polys, points, bounds)
+        return evaluate_stack(polys, points)
 
     monkeypatch.setattr(scheme, "evaluate_batch", recorder)
     monkeypatch.setattr(scheme, "evaluate_stack", stack_recorder)
@@ -1010,6 +1010,8 @@ def _malformed_texts():
                            "lone nvars= header"),
         "image-nvars": (private_key_from_text, "\n\n".join(blocks),
                         "every image must live in the ambient variable set"),
+        # the block count is checked before any image block is parsed
+        "extra-block": (private_key_from_text, private + "\ngarbage\n", "expected 10 image blocks"),
     }
 
 
