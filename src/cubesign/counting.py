@@ -374,7 +374,7 @@ def evaluate_stack(polys: list[Poly], points: PointSet | range) -> list[np.ndarr
     On an aligned subcube the polynomials share stacked transforms, and each
     comes back in its stack's type, never narrower than its own, as
     ``_subcube_values`` describes; on a ``PointSet`` each one goes through
-    ``evaluate_batch``.  Either way each cube bound is ``value_bound``'s.
+    ``evaluate_batch``.  Either way each one's cube bound is its stored ``value_bound``.
     """
     if isinstance(points, range):
         return _subcube_values(polys, points)
