@@ -22,9 +22,8 @@ import math
 import random
 import statistics
 
-from cubesign.counting import value_bound
 from cubesign.params import parse_param_overrides
-from cubesign.poly import Poly
+from cubesign.poly import Poly, value_bound
 from cubesign.scheme import keygen, sign
 from cubesign.sizes import measure
 

@@ -97,27 +97,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    emitted = False
     records: list[str] = []
-    if args.pub:
-        pub = public_key_from_text(Path(args.pub).read_text())
-        report = measure([*pub.base, *pub.mapped])
-        print(format_size_report(report, "public key"))
-        records += size_records(report, "public_key")
-        emitted = True
-    if args.key:
-        _, priv = private_key_from_text(Path(args.key).read_text())
-        report = measure(priv.aut.images)
-        print(format_size_report(report, "private key"))
-        records += size_records(report, "private_key")
-        emitted = True
-    if args.sig:
-        sig = signature_from_text(Path(args.sig).read_text())
-        report = measure([sig.poly])
-        print(format_size_report(report, "signature"))
-        records += size_records(report, "signature")
-        emitted = True
-    if emitted:
+    for path, label, read_polys in (
+        (args.pub, "public key", lambda text: (pub := public_key_from_text(text)).base + pub.mapped),
+        (args.key, "private key", lambda text: private_key_from_text(text)[1].aut.images),
+        (args.sig, "signature", lambda text: [signature_from_text(text).poly]),
+    ):
+        if path:
+            report = measure(read_polys(Path(path).read_text()))
+            print(format_size_report(report, label))
+            records += size_records(report, label.replace(" ", "_"))
+    if records:
         print(
             f"(variable indices charged {VARIABLE_BITS} bits each,"
             f" monomials {MONOMIAL_BITS} bits)"
@@ -194,6 +184,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -178,14 +179,33 @@ def test_analyze_without_files_still_counts_dimensions(capsys):
     assert "public key bits" not in out
 
 
-def run_module(*args):
-    """``python -m cubesign`` in a child that imports the package these tests import."""
+def run_child(*args):
+    """A child interpreter with ``args`` that imports the package these tests import."""
     src = str(Path(cubesign.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "cubesign", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(*args):
+    """``python -m cubesign`` in a child that imports the package these tests import."""
+    return run_child("-m", "cubesign", *args)
+
+
+def test_package_and_light_modules_import_alone():
+    # the package loads no module of its own; these modules load neither numpy nor the verifier
+    proc = run_child("-c", textwrap.dedent("""
+        import sys
+        import cubesign
+        print(sorted(m for m in sys.modules if m.startswith("cubesign.")))
+        import cubesign.automorphisms, cubesign.errors, cubesign.hashing
+        import cubesign.params, cubesign.poly, cubesign.sizes
+        print(sorted({"numpy", "cubesign.counting", "cubesign.scheme"} & set(sys.modules)))
+    """))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_module_entry_point():

@@ -12,7 +12,6 @@ from cubesign.counting import (
     CUBE_BLOCK,
     EXACT_NVARS_LIMIT,
     GROUP_ROWS,
-    INT64_SAFE_BOUND,
     ValueCounts,
     cube_walk,
     estimate_positive_proportion,
@@ -22,10 +21,9 @@ from cubesign.counting import (
     required_trials,
     sample_points,
     sample_tuple_chunks,
-    value_bound,
 )
 from cubesign.errors import CapacityError, DimensionError
-from cubesign.poly import Poly
+from cubesign.poly import INT64_SAFE_BOUND, Poly, value_bound
 
 from conftest import point_set, poly_strategy, wide_hostile_poly
 

@@ -12,18 +12,16 @@ from cubesign import counting, scheme
 from cubesign.automorphisms import extend_for_signing, sample_automorphism, sample_indicator
 from cubesign.counting import (
     CUBE_BLOCK,
-    INT64_SAFE_BOUND,
     cube_blocks,
     evaluate_batch,
     evaluate_stack,
     exact_dtype,
     exact_value_counts,
     sample_points,
-    value_bound,
 )
 from cubesign.errors import CapacityError, DimensionError, FormatError
 from cubesign.params import SchemeParams
-from cubesign.poly import Poly, indices_of, mask_of, split_blocks
+from cubesign.poly import INT64_SAFE_BOUND, Poly, indices_of, mask_of, split_blocks, value_bound
 from cubesign.scheme import (
     CHALLENGE_NVARS,
     PrivateKey,

@@ -277,7 +277,7 @@ def test_bench_record_interleaves_traced_runs(tmp_path, monkeypatch):
 def test_bench_record_times_cli_imports_between_probes(tmp_path, monkeypatch):
     bench = load("bench_record")
     events = []
-    probe_times = iter([10.0, 20.0, 40.0] * 6)
+    probe_times = iter([10.0, 20.0, 40.0] * 18)
 
     def probe():
         events.append("probe")
@@ -305,22 +305,24 @@ def test_bench_record_times_cli_imports_between_probes(tmp_path, monkeypatch):
     out = tmp_path / "BENCH.json"
     assert bench.main(["--checkout", str(tmp_path / "change"), "--parent", str(tmp_path / "parent"),
                        "--out", str(out)]) == 0
-    # one probe just before each fresh import, the sides alternating as the traced runs do
+    # one probe just before each fresh import, the sides alternating import by import
+    # in the order of the traced pair before them
     pairs = len(bench.WORKLOADS) * len(bench.TRACE_SEEDS)
+    imports = 3 * pairs
     expected = []
     for k in range(pairs):
-        for side in bench.side_order(k):
+        for side in bench.side_order(k) * 3:
             expected += ["probe", side]
     assert events == expected
     data = json.loads(out.read_text())
     for side, base in (("parent", 100.0), ("change", 50.0)):
         cli = data[side]["cli_import"]
         assert cli["command"] == bench.IMPORT_CODE
-        assert len(cli["runs"]) == pairs
+        assert len(cli["runs"]) == imports
         raw = [run["import_ms"] for run in cli["runs"]]
         assert raw == [base + i + 1 for i, event in enumerate(events) if event == side]
         scaled = sorted(run["import_ms"] * 40.0 / run["probe_ms"] for run in cli["runs"])
-        assert cli["median_ms"] == sorted(raw)[pairs // 2]
-        assert cli["median_probe_scaled_ms"] == scaled[pairs // 2]
+        assert cli["median_ms"] == sorted(raw)[imports // 2]
+        assert cli["median_probe_scaled_ms"] == scaled[imports // 2]
         assert (cli["min_ms"], cli["min_probe_scaled_ms"]) == (min(raw), scaled[0])
         assert {run["probe_ms"] for run in cli["runs"]} == {10.0, 20.0, 40.0}
