@@ -13,10 +13,11 @@ revision and ``src/cubesign`` line count ``src_lines``, the seeds and nproc.
 One traced run per side is too noisy to decide a per-layer claim; the median
 over several seeds is steadier.
 
-After each pair of traced runs, ``import cubesign.cli`` is timed
-``IMPORTS_PER_PAIR`` times per side, the sides alternating import by import
-in the pair's order, each in a fresh interpreter from the checkout's ``src``
-with one run of ``perfbench/run.py``'s probe just before it.
+After the last pair of traced runs, ``import cubesign.cli`` is timed
+``IMPORTS_PER_SIDE`` times per side in one phase of pairs of imports, each
+pair in ``side_order``, each import in a fresh interpreter from the
+checkout's ``src`` with one run of ``perfbench/run.py``'s probe just before
+it, so that no import runs in the wake of a traced run.
 ``cli_import`` holds each side's raw and probe-scaled median and minimum
 and every import with its probe time.  The minimum is the steadier figure:
 host noise only ever adds to an import's time.  The traced ``cli.import_ms``
@@ -60,7 +61,7 @@ WORKLOADS = ("verify", "keygen_sign", "exhaustive")
 TRACE_SEEDS = (51, 52, 53)
 TRACE_ARGS = ("--seconds", "0", "--trace", "1")
 TIME_UNITS = ("s/op", "ms")
-IMPORTS_PER_PAIR = 3
+IMPORTS_PER_SIDE = 27
 IMPORT_CODE = ("import time; t = time.perf_counter(); import cubesign.cli;"
                " print(1000 * (time.perf_counter() - t))")
 ROOT = Path(__file__).resolve().parent.parent
@@ -161,7 +162,8 @@ def record_traces(checkout: Path, parent: Path, out: Path) -> dict:
                 "absent": report.get("absent", []), "calibration_ms": report["calibration_ms"],
                 "result": result,
             })
-        for side in order * IMPORTS_PER_PAIR:
+    for k in range(IMPORTS_PER_SIDE):
+        for side in side_order(k):
             probe_ms = probe()
             imports[side].append({"probe_ms": probe_ms, "import_ms": cli_import_ms(dirs[side])})
     raw_ms = {side: [run["import_ms"] for run in imports[side]] for side in dirs}

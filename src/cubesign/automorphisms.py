@@ -154,24 +154,21 @@ def sample_indicator(
     if not pool:
         raise SamplingError("no variable available outside the excluded set")
     one = Poly.const(1, nvars)
-    for _ in range(_MAX_RESAMPLES):
-        degree = rng.randint(1, min(params.d, len(pool)))
-        seed_vars = rng.sample(pool, degree)
-        acc = Poly(nvars, {mask_of(seed_vars): 1})
-        used = set(seed_vars)
-        for _ in range(params.r):
-            if rng.random() < 0.5:
-                acc = one - acc
-            fresh = [i for i in pool if i not in used]
-            if not fresh:
-                break  # pool exhausted: stop multiplying early
-            v = rng.choice(fresh)
-            used.add(v)
-            x = Poly.variable(v, nvars)
-            acc = acc * (x if rng.random() < 0.5 else one - x)
-        if acc:
-            return acc
-    raise SamplingError("indicator sampling kept collapsing to zero")
+    degree = rng.randint(1, min(params.d, len(pool)))
+    seed_vars = rng.sample(pool, degree)
+    acc = Poly(nvars, {mask_of(seed_vars): 1})
+    used = set(seed_vars)
+    for _ in range(params.r):
+        if rng.random() < 0.5:
+            acc = one - acc
+        fresh = [i for i in pool if i not in used]
+        if not fresh:
+            break  # pool exhausted: stop multiplying early
+        v = rng.choice(fresh)
+        used.add(v)
+        x = Poly.variable(v, nvars)
+        acc = acc * (x if rng.random() < 0.5 else one - x)
+    return acc
 
 
 def triangular(direction: str, params: SchemeParams, rng: random.Random) -> Automorphism:

@@ -43,7 +43,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import CapacityError, DimensionError
-from .poly import INT64_SAFE_BOUND, Poly, value_bound
+from .poly import INT64_SAFE_BOUND, NVARS_MAX, Poly, value_bound
 
 EXACT_NVARS_LIMIT = 25
 # Points per enumeration block: 2**18 values are 256 KiB in int8, 2 MiB in int64.
@@ -223,14 +223,12 @@ class PointSet:
 
         Entry b of table k is the AND of the columns of b's set bits among
         x_{8k+1}..x_{8k+8}; entry 0 is every point.  Each table is built by
-        doubling, one AND per entry.  There are four tables up to 32
-        variables and eight past that; a byte past the width has only the
-        entry 0.
+        doubling, one AND per entry.  There are four tables, one per byte of
+        a mask; a byte past the width has only the entry 0.
         """
         if self._tables is None:
-            width = len(self.columns)
             self._tables = []
-            for k in range(0, 32 if width <= 32 else 64, 8):
+            for k in range(0, NVARS_MAX, 8):
                 row = [(1 << self.size) - 1]
                 for column in self.columns[k:k + 8]:
                     row += [r & column for r in row]
@@ -300,20 +298,14 @@ def _sign_counters(p: Poly, points: PointSet) -> tuple[list[int], list[int]]:
     groups: defaultdict[int, list[int]] = defaultdict(list)
     for mask, c in p.terms.items():
         groups[c].append(mask)
-    t0, t1, t2, t3, *high = points.byte_tables()
+    t0, t1, t2, t3 = points.byte_tables()
     positive: list[int] = []
     negative: list[int] = []
     for c, masks in groups.items():
         count = [0, 0, 0]
         for i in range(0, len(masks), GROUP_CHUNK):
-            chunk = masks[i:i + GROUP_CHUNK]
-            rows = [t0[m & 255] & t1[m >> 8 & 255] & t2[m >> 16 & 255] & t3[m >> 24 & 255]
-                    for m in chunk]
-            if high:
-                t4, t5, t6, t7 = high
-                rows = [r & t4[m >> 32 & 255] & t5[m >> 40 & 255] & t6[m >> 48 & 255]
-                        & t7[m >> 56] for r, m in zip(rows, chunk)]
-            _fold(count, rows)
+            _fold(count, [t0[m & 255] & t1[m >> 8 & 255] & t2[m >> 16 & 255] & t3[m >> 24]
+                          for m in masks[i:i + GROUP_CHUNK]])
         counter = negative if c < 0 else positive
         for k, bit in enumerate(bin(abs(c))[:1:-1]):
             if bit == "1":
@@ -336,7 +328,7 @@ def evaluate_batch(p: Poly, points: PointSet | range) -> np.ndarray:
     Points are bit-sliced (Biham, FSE 1997): one Python int per variable,
     whose bit j is that variable at point j.  A term covers the AND of its
     variables' columns, read as the AND of its mask bytes' entries in the
-    point set's ``byte_tables``: three ANDs up to 32 variables, seven past.
+    point set's ``byte_tables``: three ANDs per term.
 
     Terms are grouped by coefficient.  A group's covered sets are built
     ``GROUP_CHUNK`` at a time and counted by ``_fold`` into bit planes:

@@ -1,9 +1,10 @@
 """Sparse multilinear integer polynomials with the reduction x_i**2 = x_i.
 
 A monomial is a bitmask over variable indices: bit (i - 1) set means x_i
-is a factor.  Masks fit in one machine word (at most 64 variables), so the
-product of two monomials is the bitwise OR of their masks; squares collapse
-on their own and no monomial ever carries a repeated variable.
+is a factor.  Masks fit in one 32-bit word (at most 32 variables, the
+width of a hashed message), so the product of two monomials is the bitwise
+OR of their masks; squares collapse on their own and no monomial ever
+carries a repeated variable.
 
 A polynomial is a mapping {mask: coefficient} plus the ambient variable
 count ``nvars``.  Coefficients are plain Python ints, so arithmetic stays
@@ -23,8 +24,8 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, DimensionError, FormatError
 
-# Monomial masks (and cube points) must fit in one machine word.
-NVARS_MAX = 64
+# Monomial masks (and cube points) must fit in one 32-bit word.
+NVARS_MAX = 32
 # Pair count from which ``_mul_terms`` sums a product in numpy.
 VECTOR_PAIRS = 1 << 10
 # Pairs per chunk of the vectorised product's outer arrays.
@@ -175,25 +176,7 @@ class Poly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
-        return f"Poly({self.nvars}, {self})"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mask in sorted(self.terms):
-            c = self.terms[mask]
-            name = "*".join(f"x{i}" for i in indices_of(mask))
-            if mask == 0:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = name
-            else:
-                body = f"{abs(c)}*{name}"
-            parts.append(f"{'-' if c < 0 else '+'} {body}")
-        head = parts[0]
-        head = f"-{head[2:]}" if head[0] == "-" else head[2:]
-        return " ".join([head] + parts[1:])
+        return f"Poly({self.nvars}, {self.terms})"
 
     # --- queries ---
 
@@ -375,19 +358,14 @@ def poly_to_text(p: Poly) -> str:
     """Canonical block: ``nvars=<k>`` then one ``<coeff>:<indices>`` line per term.
 
     Terms are written in ascending mask order, each as one f-string over the
-    ``_BYTE_INDICES`` entries of its mask's bytes: four lookups up to 32 variables,
-    eight past that.  Each line's last comma is then dropped from the joined text.
+    ``_BYTE_INDICES`` entries of its mask's four bytes.  Each line's last comma
+    is then dropped from the joined text.
     """
     terms = p.terms
-    r0, r1, r2, r3, r4, r5, r6, r7 = _BYTE_INDICES
+    r0, r1, r2, r3 = _BYTE_INDICES
     lines = [f"nvars={p.nvars}"]
-    if p.nvars <= 32:
-        lines += [f"{terms[m]}:{r0[m & 255]}{r1[m >> 8 & 255]}{r2[m >> 16 & 255]}{r3[m >> 24]}"
-                  for m in sorted(terms)]
-    else:
-        lines += [f"{terms[m]}:{r0[m & 255]}{r1[m >> 8 & 255]}{r2[m >> 16 & 255]}"
-                  f"{r3[m >> 24 & 255]}{r4[m >> 32 & 255]}{r5[m >> 40 & 255]}"
-                  f"{r6[m >> 48 & 255]}{r7[m >> 56]}" for m in sorted(terms)]
+    lines += [f"{terms[m]}:{r0[m & 255]}{r1[m >> 8 & 255]}{r2[m >> 16 & 255]}{r3[m >> 24]}"
+              for m in sorted(terms)]
     # Only a line's last comma can come before a newline; the header has none.
     return "\n".join(lines).replace(",\n", "\n").rstrip(",")
 

@@ -20,7 +20,7 @@ def test_default_profile():
     "kwargs",
     [
         {"n": 3},            # too few variables
-        {"n": 64},           # n + 1 must fit the 64-bit monomial word
+        {"n": 32},           # n + 1 must fit the 32-bit monomial word
         {"t": 0},
         {"b": 0},
         {"n": 8, "b": 9},    # monomial degree above nvars
@@ -38,7 +38,7 @@ def test_invalid_params_rejected(kwargs):
 
 
 def test_boundary_n():
-    assert SchemeParams(n=63).n == 63
+    assert SchemeParams(n=31).n == 31
     assert SchemeParams(n=4, b=3).n == 4
 
 

@@ -50,9 +50,17 @@ def test_constructor_rejects_out_of_range_mask():
 
 def test_constructor_rejects_bad_nvars():
     with pytest.raises(ValueError):
-        Poly(65, {})
+        Poly(33, {})
     with pytest.raises(ValueError):
         Poly(-1, {})
+    with pytest.raises(ValueError):
+        mask_of([33])
+
+
+@given(st.integers(0, NVARS_MAX).flatmap(poly_strategy))
+@example(Poly(3, {0b011: 1, 0b100: -2}))
+def test_repr_is_the_constructor_form(p):
+    assert eval(repr(p), {"Poly": Poly}) == p
 
 
 def test_add_inverse_is_zero():
@@ -359,7 +367,7 @@ def test_mul_associates_and_distributes(p, q, r):
 
 @st.composite
 def wide_polys(draw):
-    """Polynomials in 0..NVARS_MAX variables whose masks reach every byte, bit 63 included."""
+    """Polynomials in 0..NVARS_MAX variables whose masks reach every byte, the top bit included."""
     nvars = draw(st.integers(0, NVARS_MAX))
     top = 1 << (nvars - 1) if nvars else 0
     mask = st.builds(int.__or__, st.integers(0, (1 << nvars) - 1), st.sampled_from((0, top)))
@@ -371,12 +379,11 @@ def wide_polys(draw):
 @example(Poly.zero(0))
 @example(Poly.zero(NVARS_MAX))
 @example(Poly.const(-(2**200), 0))
-@example(Poly(NVARS_MAX, {0: 2**200, 1 << 63: -1, (1 << 64) - 1: -(2**200), 0x8000_0000_0100_0001: 2}))
+@example(Poly(NVARS_MAX, {0: 2**200, 1 << 31: -1, (1 << 32) - 1: -(2**200), 0x8001_0001: 2}))
 # both sides of the edge of the parser's table of small coefficients
 @example(Poly(3, {0: 64, 1: -64, 2: 65, 3: -65, 4: 2**200}))
-# both sides of the writer's 32-variable edge between four and eight byte lookups
+# the top variable and a term across the first and last byte
 @example(Poly(32, {1 << 31: 1, (1 << 24) | 1: -3, 0: 5}))
-@example(Poly(33, {1 << 32: 2, (1 << 31) | 1: 1}))
 # a mask whose middle bytes are zero
 @example(Poly(31, {(1 << 30) | 1: 7}))
 def test_text_round_trip(p):
@@ -407,7 +414,8 @@ def test_parse_rejects_malformed_blocks():
         "nvars=3\nx:1",               # bad coefficient
         "nvars=3\n1:0",               # index 0
         "nvars=3\n1:-1",              # negative index
-        "nvars=64\n1:65",             # index beyond NVARS_MAX
+        "nvars=32\n1:33",             # index beyond NVARS_MAX
+        "nvars=32\n1:64",             # index 64, far beyond NVARS_MAX
         "nvars=3\n1:1,1",             # repeated index
         "nvars=3\n1:1,",              # trailing comma
         "nvars=3\n1:1\n\n1:2",        # blank line inside a block
@@ -435,8 +443,9 @@ def test_parse_rejects_malformed_blocks():
         "nvars=1_0\n1:1",             # underscore in the header
         "nvars=３\n1:1",               # full-width header digit
         "nvars=-0",                   # negative zero header
-        "nvars=65",                   # more than NVARS_MAX variables, no terms
-        "nvars=65\n1:1",              # more than NVARS_MAX variables
+        "nvars=33",                   # more than NVARS_MAX variables, no terms
+        "nvars=33\n1:1",              # more than NVARS_MAX variables
+        "nvars=64\n1:64",             # 64 variables, with a term on the 64th
         "nvars=3\n1:1\n-2:2,4",       # the last term's index beyond nvars
         "nvars=0\n1:1",               # no variables, yet a term with one
     ):

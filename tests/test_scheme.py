@@ -744,6 +744,12 @@ def _random_terms(nvars, count):
     return {rng.getrandbits(nvars): rng.choice((1, -1)) for _ in range(count)}
 
 
+def _dense_text(nvars, count):
+    """A block of ``_random_terms`` in the canonical form, written without a ``Poly``."""
+    terms = sorted(_random_terms(nvars, count).items())
+    return "\n".join([f"nvars={nvars}"] + [f"{c}:{','.join(map(str, indices_of(m)))}" for m, c in terms])
+
+
 FULL_MASK = (1 << 32) - 1
 # Hostile signature texts in 32 variables: each one's builder, the error
 # verifying it against the seed-0 production key raises (None: it returns a
@@ -758,6 +764,8 @@ HOSTILE_SIGNATURES = {
                           CapacityError, 0.5),
     "huge-header": (lambda: "nvars=" + "9" * 100_000 + "\n1:1\n", FormatError, 1),
     "malformed-header": (lambda: "nvars=+32\n1:1\n", FormatError, 0.5),
+    # past the 32-variable word, refused at its header
+    "wide-64-variables": (lambda: _dense_text(64, 5000), FormatError, 1.5),
     "extra-blocks": (lambda: "\n".join([signature_to_text(Signature(Poly.variable(1, 32)))] * 10_000),
                      FormatError, 4),
 }

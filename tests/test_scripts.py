@@ -278,6 +278,8 @@ def test_bench_record_times_cli_imports_between_probes(tmp_path, monkeypatch):
     bench = load("bench_record")
     events = []
     probe_times = iter([10.0, 20.0, 40.0] * 18)
+    imports = bench.IMPORTS_PER_SIDE
+    assert imports == 27
 
     def probe():
         events.append("probe")
@@ -292,6 +294,7 @@ def test_bench_record_times_cli_imports_between_probes(tmp_path, monkeypatch):
         return subprocess.CompletedProcess(cmd, 0, stdout=f"{ms + len(events)}\n", stderr="")
 
     def fake_run(checkout, workload, seed, extra):
+        events.append("run")
         return ({"metrics": {}}, {"provenance": {"src_sha256": checkout.name}, "absent": [],
                                   "calibration_ms": 40.0})
 
@@ -305,13 +308,11 @@ def test_bench_record_times_cli_imports_between_probes(tmp_path, monkeypatch):
     out = tmp_path / "BENCH.json"
     assert bench.main(["--checkout", str(tmp_path / "change"), "--parent", str(tmp_path / "parent"),
                        "--out", str(out)]) == 0
-    # one probe just before each fresh import, the sides alternating import by import
-    # in the order of the traced pair before them
-    pairs = len(bench.WORKLOADS) * len(bench.TRACE_SEEDS)
-    imports = 3 * pairs
-    expected = []
-    for k in range(pairs):
-        for side in bench.side_order(k) * 3:
+    # every traced run first, then one probe just before each fresh import,
+    # the imports in pairs whose sides alternate as the traced pairs' do
+    expected = ["run"] * (2 * len(bench.WORKLOADS) * len(bench.TRACE_SEEDS))
+    for k in range(imports):
+        for side in bench.side_order(k):
             expected += ["probe", side]
     assert events == expected
     data = json.loads(out.read_text())
