@@ -751,10 +751,11 @@ def _dense_text(nvars, count):
 
 
 FULL_MASK = (1 << 32) - 1
-# Hostile signature texts in 32 variables: each one's builder, the error
-# verifying it against the seed-0 production key raises (None: it returns a
-# report), and the tracemalloc budget of parsing and verifying it, in MiB:
-# about twice the measured peak, and at least 0.5 MiB.
+# Hostile signature texts, in 32 variables but for the one past that word:
+# each one's builder, the error verifying it against the seed-0 production
+# key raises (None: it returns a report), and the tracemalloc budget of
+# parsing and verifying it, in MiB: about twice the measured peak, and at
+# least 0.5 MiB.
 HOSTILE_SIGNATURES = {
     "dense-terms": (lambda: signature_to_text(Signature(Poly(32, _random_terms(32, 5000)))),
                     None, 2),
@@ -764,7 +765,6 @@ HOSTILE_SIGNATURES = {
                           CapacityError, 0.5),
     "huge-header": (lambda: "nvars=" + "9" * 100_000 + "\n1:1\n", FormatError, 1),
     "malformed-header": (lambda: "nvars=+32\n1:1\n", FormatError, 0.5),
-    # past the 32-variable word, refused at its header
     "wide-64-variables": (lambda: _dense_text(64, 5000), FormatError, 1.5),
     "extra-blocks": (lambda: "\n".join([signature_to_text(Signature(Poly.variable(1, 32)))] * 10_000),
                      FormatError, 4),
