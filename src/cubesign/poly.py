@@ -26,8 +26,8 @@ from .errors import CapacityError, DimensionError, FormatError
 
 # Monomial masks (and cube points) must fit in one 32-bit word.
 NVARS_MAX = 32
-# Pair count from which ``_mul_terms`` sums a product in numpy.
-VECTOR_PAIRS = 1 << 10
+# Pair count from which a product of term maps is summed in numpy (``_times``).
+VECTOR_PAIRS = 1 << 8
 # Pairs per chunk of the vectorised product's outer arrays.
 CHUNK_PAIRS = 1 << 16
 # Value bound under which int64 arithmetic stays exact.
@@ -38,7 +38,7 @@ def mask_of(indices: Iterable[int]) -> int:
     """Bitmask of 1-based variable indices."""
     mask = 0
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= NVARS_MAX:
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= NVARS_MAX:
             raise ValueError(f"variable index {i!r} out of range 1..{NVARS_MAX}")
         mask |= 1 << (i - 1)
     return mask
@@ -206,7 +206,11 @@ class Poly:
         return total
 
     def substitute(self, images: Sequence[Poly]) -> Poly:
-        """Replace x_i by images[i-1]; all images must share one variable count."""
+        """Replace x_i by images[i-1]; all images must share one variable count.
+
+        Image products that ``_times`` sums in numpy stay array pairs, in the
+        cache and in later products, until ``_add_parts`` adds them all at once.
+        """
         if len(images) != self.nvars:
             raise DimensionError(f"expected {self.nvars} images, got {len(images)}")
         if not images:
@@ -228,12 +232,13 @@ class Poly:
                     mask ^= low
                 acc[m] = acc.get(m, 0) + coeff
             return Poly._unchecked(nv, _drop_zeros(acc))
-        # Memoize the term maps of products of image subsets: monomials often
+        # Memoize the products of image subsets (``_times``): monomials often
         # share factors.  The product for a mask is the one for the mask
         # without its lowest bit times that bit's image.  Only the result is
         # built as a Poly, and the cache is freed on return (a recursive
         # closure would hold it in a reference cycle until the next collection).
-        cache: dict[int, dict[int, int]] = {0: {0: 1}}
+        cache: dict[int, dict[int, int] | tuple] = {0: {0: 1}}
+        parts = []
         for mask, coeff in self.terms.items():
             missing = []
             m = mask
@@ -242,9 +247,15 @@ class Poly:
                 m ^= m & -m
             prod = cache[m]
             for m in reversed(missing):
-                prod = cache[m] = _mul_terms(prod, images[(m & -m).bit_length() - 1].terms)
-            for m2, c2 in prod.items():
-                acc[m2] = acc.get(m2, 0) + coeff * c2
+                img = images[(m & -m).bit_length() - 1]
+                prod = cache[m] = _times(prod, img.terms, value_bound(img))
+            if isinstance(prod, dict):
+                for m2, c2 in prod.items():
+                    acc[m2] = acc.get(m2, 0) + coeff * c2
+            elif len(prod[0]):  # an empty one adds nothing, whatever its coefficient
+                parts.append((coeff, prod))
+        if parts:
+            acc = _add_parts(acc, parts)
         return Poly._unchecked(nv, _drop_zeros(acc))
 
     def widen(self, nvars: int) -> Poly:
@@ -277,19 +288,26 @@ def _drop_zeros(terms: dict[int, int]) -> dict[int, int]:
 
 
 def _mul_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """Term map of the product of two term maps, with no zero coefficients.
+    """Term map of the product of two term maps, with no zero coefficients (see ``_times``)."""
+    prod = _times(a, b, sum(map(abs, b.values())))
+    return prod if isinstance(prod, dict) else dict(zip(prod[0].tolist(), prod[1].tolist()))
 
-    From ``VECTOR_PAIRS`` pair products on, the product is summed in int64 by
-    ``_mul_terms_int64`` when sum|a| * sum|b| < INT64_SAFE_BOUND: every coefficient
-    of the product, and every partial sum of its pair products, is bounded by
-    that, so no sum can overflow.  Otherwise a dict loop sums Python ints.
+
+def _times(a, b: Mapping[int, int], b_bound: int):
+    """The product of a, a term map or an array pair, and the term map b of sum|b| = b_bound.
+
+    sum|a| * sum|b| bounds every coefficient and partial sum of the product.  Below
+    INT64_SAFE_BOUND, ``_mul_arrays`` sums it in int64 as an array pair if a is one or
+    reaches ``VECTOR_PAIRS`` pairs with b.  Otherwise a dict loop sums Python ints.
     """
+    if isinstance(a, tuple):
+        if int(abs(a[1]).sum()) * b_bound < INT64_SAFE_BOUND:
+            return _mul_arrays(a, _as_arrays(b)) if len(a[0]) else a
+        a = dict(zip(a[0].tolist(), a[1].tolist()))
+    elif len(a) * len(b) >= VECTOR_PAIRS and sum(map(abs, a.values())) * b_bound < INT64_SAFE_BOUND:
+        return _mul_arrays(_as_arrays(a), _as_arrays(b))
     if len(a) > len(b):
         a, b = b, a
-    if len(a) * len(b) >= VECTOR_PAIRS and (
-        sum(map(abs, a.values())) * sum(map(abs, b.values())) < INT64_SAFE_BOUND
-    ):
-        return _mul_terms_int64(a, b)
     out: dict[int, int] = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -298,39 +316,61 @@ def _mul_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     return _drop_zeros(out)
 
 
-def _mul_terms_int64(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """The product of two term maps by outer OR and outer product in numpy.
+def _as_arrays(terms: Mapping[int, int]) -> tuple:
+    """A term map as an array pair: uint64 masks and int64 coefficients."""
+    import numpy as np
 
-    The caller guarantees sum|a| * sum|b| < INT64_SAFE_BOUND.  Rows of a are
-    taken ``CHUNK_PAIRS // len(b)`` at a time, and each chunk's pairs are summed
-    per mask; the chunks' sums are summed per mask once more at the end.
+    return (np.fromiter(terms, dtype=np.uint64, count=len(terms)),
+            np.fromiter(terms.values(), dtype=np.int64, count=len(terms)))
+
+
+def _sum_by_mask(*pairs) -> tuple:
+    """The array pairs as one, with one entry per mask: masks ascending, zero sums dropped.
+
+    One sort of the keys mask << 32 | position orders both arrays: masks fit
+    in 32 bits, and no array holds 2**32 entries.
     """
     import numpy as np
 
-    def sum_by_mask(masks, coeffs):
-        order = np.argsort(masks)
-        masks, coeffs = masks[order], coeffs[order]
-        starts = np.flatnonzero(np.concatenate(([True], masks[1:] != masks[:-1])))
-        return masks[starts], np.add.reduceat(coeffs, starts)
+    masks, coeffs = pairs[0] if len(pairs) == 1 else map(np.concatenate, zip(*pairs))
+    keys = np.sort(masks << 32 | np.arange(len(masks), dtype=np.uint64))
+    masks = keys >> 32
+    first = np.ones(min(len(masks), 1), bool)  # the first mask, if any, starts a run
+    starts = np.flatnonzero(np.concatenate((first, masks[1:] != masks[:-1])))
+    sums = np.add.reduceat(coeffs[keys & 0xFFFFFFFF], starts)
+    return masks[starts][sums != 0], sums[sums != 0]
 
-    a_masks = np.fromiter(a, dtype=np.uint64, count=len(a))
-    a_coeffs = np.fromiter(a.values(), dtype=np.int64, count=len(a))
-    b_masks = np.fromiter(b, dtype=np.uint64, count=len(b))
-    b_coeffs = np.fromiter(b.values(), dtype=np.int64, count=len(b))
-    rows = max(1, CHUNK_PAIRS // len(b))
-    chunks = [
-        sum_by_mask(
-            (a_masks[i:i + rows, None] | b_masks).ravel(),
-            (a_coeffs[i:i + rows, None] * b_coeffs).ravel(),
-        )
-        for i in range(0, len(a), rows)
-    ]
-    if len(chunks) == 1:
-        masks, coeffs = chunks[0]
-    else:
-        masks, coeffs = sum_by_mask(*map(np.concatenate, zip(*chunks)))
-    keep = coeffs != 0
-    return dict(zip(masks[keep].tolist(), coeffs[keep].tolist()))
+
+def _mul_arrays(a: tuple, b: tuple) -> tuple:
+    """The product of two array pairs by outer OR and outer product in numpy.
+
+    The caller guarantees sum|a| * sum|b| < INT64_SAFE_BOUND.  Each chunk of
+    ``CHUNK_PAIRS // len(longer)`` shorter-side rows is summed per mask, then the chunks.
+    """
+    (a_masks, a_coeffs), (b_masks, b_coeffs) = sorted((a, b), key=lambda pair: len(pair[0]))
+    if not len(a_masks):
+        return a_masks, a_coeffs
+    rows = max(1, CHUNK_PAIRS // len(b_masks))
+    chunks = [_sum_by_mask(((a_masks[i:i + rows, None] | b_masks).ravel(),
+                            (a_coeffs[i:i + rows, None] * b_coeffs).ravel()))
+              for i in range(0, len(a_masks), rows)]
+    return chunks[0] if len(chunks) == 1 else _sum_by_mask(*chunks)
+
+
+def _add_parts(acc: dict[int, int], parts: list) -> dict[int, int]:
+    """The term map acc plus each (coeff, array product) of parts, times coeff.
+
+    If sum|acc| plus each |coeff| * sum|product| is below INT64_SAFE_BOUND,
+    all are concatenated and summed once in int64; otherwise in Python ints.
+    """
+    bound = sum(abs(c) * int(abs(p[1]).sum()) for c, p in parts)
+    if bound + sum(map(abs, acc.values())) < INT64_SAFE_BOUND:
+        masks, coeffs = _sum_by_mask(_as_arrays(acc), *((p[0], c * p[1]) for c, p in parts))
+        return dict(zip(masks.tolist(), coeffs.tolist()))
+    for c, (masks, coeffs) in parts:
+        for m, x in zip(masks.tolist(), coeffs.tolist()):
+            acc[m] = acc.get(m, 0) + c * x
+    return acc
 
 
 # --- canonical text form ---

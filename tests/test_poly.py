@@ -38,6 +38,12 @@ def test_mask_round_trip():
     assert indices_of(0) == ()
 
 
+def test_mask_of_rejects_bool_indices():
+    for index in (True, False):
+        with pytest.raises(ValueError):
+            mask_of([index])
+
+
 def test_constructor_drops_zero_coefficients():
     p = Poly(3, {0b001: 1, 0b010: 0})
     assert p.terms == {0b001: 1}
@@ -229,13 +235,13 @@ def test_vector_product_cancels_to_zero_terms():
         assert len(got) < len({m1 | m2 for m1 in a for m2 in b})
 
 
-def test_vector_product_keeps_bit_63():
+def test_vector_product_keeps_bit_31():
     rng = random.Random(4)
     a = random_terms(rng, 40, NVARS_MAX)
-    b = random_terms(rng, 40, NVARS_MAX) | {1 << 63: 3, (1 << 64) - 1: -1}
+    b = random_terms(rng, 40, NVARS_MAX) | {1 << 31: 3, (1 << 32) - 1: -1}
     got = check_product(a, b)
-    assert any(m >> 63 for m in got)
-    assert max(got) == (1 << 64) - 1
+    assert any(m >> 31 for m in got)
+    assert max(got) == (1 << 32) - 1
 
 
 def test_vector_product_over_several_chunks():
@@ -245,16 +251,33 @@ def test_vector_product_over_several_chunks():
     check_product(a, b)
 
 
+def test_vector_product_with_one_side_past_a_chunk():
+    # one row of the shorter side is a whole chunk, longer than CHUNK_PAIRS,
+    # so chunk positions take their widest values, next to masks at bit 31
+    rng = random.Random(6)
+    a = random_terms(rng, 3, NVARS_MAX) | {1 << 31: 1}
+    b = random_terms(rng, CHUNK_PAIRS + 5000, NVARS_MAX) | {(1 << 32) - 1: 2}
+    assert len(b) > CHUNK_PAIRS
+    got = check_product(a, b)
+    assert max(got) == (1 << 32) - 1
+    # b = (1 - x31) * (1 - x32) * r, so each chunk, a row of a times b, cancels
+    r = random_terms(rng, CHUNK_PAIRS // 4 + 100, 30)
+    factor = {0: 1, 1 << 30: -1, 1 << 31: -1, 3 << 30: 1}
+    b = {m | e: c * s for m, c in r.items() for e, s in factor.items()}
+    assert len(b) > CHUNK_PAIRS
+    assert check_product({1 << 30: 1, 1 << 31: 2}, b) == {}
+
+
 def spy_int64_product(monkeypatch):
-    """Record the calls of the int64 product while it keeps working."""
+    """Record the lengths, shorter first, of each int64 product while it keeps working."""
     calls = []
-    real = poly._mul_terms_int64
+    real = poly._mul_arrays
 
     def spy(a, b):
-        calls.append((len(a), len(b)))
+        calls.append(tuple(sorted((len(a[0]), len(b[0])))))
         return real(a, b)
 
-    monkeypatch.setattr(poly, "_mul_terms_int64", spy)
+    monkeypatch.setattr(poly, "_mul_arrays", spy)
     return calls
 
 
@@ -290,6 +313,39 @@ def test_substitute_through_vector_products_matches_the_dict_loop(monkeypatch):
     assert calls and all(got.terms.values())
     monkeypatch.setattr(poly, "VECTOR_PAIRS", 1 << 62)
     assert got == p.substitute(images)
+
+
+def test_substitute_sums_int64_products_exactly_past_the_bound(monkeypatch):
+    # Dense images in 6 variables: x2*x3's image product has 4,096 pairs and
+    # sum 4,096, so it is summed in int64; times 2**60 its top coefficient is
+    # 729 * 2**60 > 2**63, which only Python ints hold.  x1*x2*x3 multiplies
+    # that int64 product by x1's image, of sum 2**56, past INT64_SAFE_BOUND.
+    calls = spy_int64_product(monkeypatch)
+    n = 6
+    dense = Poly(n, {m: 1 for m in range(1 << n)})
+    big = Poly(n, {m: 1 << 50 for m in range(1 << n)})
+    images = [big, dense, dense] + [Poly.variable(1, n)] * 3
+    p = Poly(n, {0b110: 1 << 60, 0b100: 1, 0b111: -1})
+    got = p.substitute(images)
+    assert calls == [(1 << 6, 1 << 6)]
+    assert max(map(abs, got.terms.values())) > 1 << 63
+    monkeypatch.setattr(poly, "VECTOR_PAIRS", 1 << 62)
+    assert got == p.substitute(images) == expand_substitution(p, images)
+
+
+def test_substitute_through_an_empty_vector_product(monkeypatch):
+    # Every product takes the int64 path, and x2's zero image empties each one
+    # through it.  An empty product stays empty times x1's image, whose
+    # coefficient is past int64, and adds nothing whatever its own coefficient.
+    monkeypatch.setattr(poly, "VECTOR_PAIRS", 1)
+    calls = spy_int64_product(monkeypatch)
+    images = [(1 << 70) * v(3), Poly.zero(4), v(2) - 2 * v(4), v(1)]
+    p = Poly(4, {0b11: 5, 0b111: -1, 0b101: 2, 0: 7})
+    got = p.substitute(images)
+    assert (0, 2) in calls
+    assert got == expand_substitution(p, images)
+    assert got == Poly(4, {0: 7, 0b110: 1 << 71, 0b1100: -1 << 72})
+    assert Poly(4, {0b110: 1 << 70}).substitute(images) == Poly.zero(4)
 
 
 def test_substitute_monomial_images_match_the_term_expansion():
