@@ -252,7 +252,7 @@ class Poly:
             if isinstance(prod, dict):
                 for m2, c2 in prod.items():
                     acc[m2] = acc.get(m2, 0) + coeff * c2
-            elif len(prod[0]):  # an empty one adds nothing, whatever its coefficient
+            elif len(prod[0]):  # an empty one adds nothing, and its coefficient may pass int64
                 parts.append((coeff, prod))
         if parts:
             acc = _add_parts(acc, parts)
